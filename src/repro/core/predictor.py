@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .model import DeepOD
 from .trainer import DeepODTrainer
 
 QueryLike = Union[Query, Tuple]
+# ``snap(xs, ys)`` -> one (edge_id, distance, ratio) per point.
+Snapper = Callable[[List[float], List[float]],
+                   Sequence[Tuple[int, float, float]]]
 
 
 def normalize_depart_time(depart_time: float,
@@ -42,6 +45,34 @@ def normalize_depart_time(depart_time: float,
     if t < 0:
         raise ValueError("departure time must be non-negative")
     return min(t, float(horizon_seconds) - 1.0)
+
+
+def match_queries(queries: Sequence[QueryLike], dataset: TaxiDataset,
+                  snap: Snapper) -> List[ODInput]:
+    """Snap raw-coordinate queries onto the road network (Section 3).
+
+    Departure times are validated and clamped first
+    (:func:`normalize_depart_time`), so each OD input carries the value
+    every downstream lookup uses.  Then both endpoints of every query,
+    origin before destination, are snapped in one ``snap`` call:
+    ``SpatialIndex.nearest_edges``, or the serving layer's cached
+    ``ODMatchCache.nearest_edges``.
+    """
+    triples = [tuple(q) for q in queries]
+    times = [normalize_depart_time(t, dataset.horizon_seconds)
+             for _, _, t in triples]
+    hits = snap([p[0] for o, d, _ in triples for p in (o, d)],
+                [p[1] for o, d, _ in triples for p in (o, d)])
+    ods = []
+    for i, ((origin, destination, _), t) in enumerate(zip(triples, times)):
+        o_edge, _, o_ratio = hits[2 * i]
+        d_edge, _, d_ratio = hits[2 * i + 1]
+        ods.append(ODInput(
+            origin_xy=origin, destination_xy=destination, depart_time=t,
+            origin_edge=o_edge, destination_edge=d_edge,
+            ratio_start=o_ratio, ratio_end=d_ratio,
+            weather=dataset.weather.category(t)))
+    return ods
 
 
 @dataclass
@@ -122,23 +153,9 @@ class TravelTimePredictor:
     def match_query(self, origin_xy: Tuple[float, float],
                     destination_xy: Tuple[float, float],
                     depart_time: float) -> ODInput:
-        """Snap a raw-coordinate query onto the road network.
-
-        The departure time is validated (finite, non-negative) and
-        clamped to the dataset horizon *before* being stored, so the
-        OD input carries the same value every downstream lookup uses.
-        """
-        depart_time = normalize_depart_time(depart_time,
-                                            self.dataset.horizon_seconds)
-        o_edge, _, o_ratio = self.index.nearest_edge(*origin_xy)
-        d_edge, _, d_ratio = self.index.nearest_edge(*destination_xy)
-        weather = self.dataset.weather.category(depart_time)
-        return ODInput(
-            origin_xy=origin_xy, destination_xy=destination_xy,
-            depart_time=depart_time,
-            origin_edge=o_edge, destination_edge=d_edge,
-            ratio_start=o_ratio, ratio_end=d_ratio,
-            weather=weather)
+        """Snap one raw-coordinate query (see :func:`match_queries`)."""
+        return match_queries([(origin_xy, destination_xy, depart_time)],
+                             self.dataset, self.index.nearest_edges)[0]
 
     def estimate(self, query: Union[QueryLike, Tuple[float, float]],
                  destination_xy: Optional[Tuple[float, float]] = None,
@@ -160,7 +177,8 @@ class TravelTimePredictor:
         """Estimate many queries (``Query`` objects or legacy triples)."""
         if not len(queries):
             return []
-        ods = [self.match_query(*Query.coerce(q)) for q in queries]
+        ods = match_queries([Query.coerce(q) for q in queries],
+                            self.dataset, self.index.nearest_edges)
         return self.estimate_from_ods(ods)
 
     def estimate_from_ods(self, ods: Sequence[ODInput],

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import NoPathError, dijkstra, perturbed_route
-from ..roadnet.spatial_index import SpatialIndex
 from ..temporal.timeslot import SECONDS_PER_DAY
 from ..trajectory.model import (
     GPSPoint, MatchedTrajectory, ODInput, PathElement, RawTrajectory,
@@ -84,7 +83,6 @@ class TripGenerator:
         self.weather = weather
         self.config = config or TripConfig()
         self.rng = np.random.default_rng(seed)
-        self.index = SpatialIndex(net)
         # Hotspot vertices: trips concentrate around a few centres the way
         # real taxi demand does.
         n = net.num_vertices

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..roadnet.graph import RoadNetwork
 from ..roadnet.spatial_index import SpatialIndex
 from ..trajectory.model import GPSPoint
 
@@ -34,20 +33,32 @@ def candidates_for_point(index: SpatialIndex, point: GPSPoint,
     search falls back to k-nearest so a noisy fix never strands the HMM
     with an empty column.
     """
-    if max_candidates < 1:
-        raise ValueError("max_candidates must be >= 1")
-    hits = index.edges_within(point.x, point.y, radius)[:max_candidates]
-    if len(hits) < min_candidates:
-        hits = index.k_nearest_edges(point.x, point.y,
-                                     k=max(min_candidates, 1))
-    return [Candidate(eid, dist, ratio) for eid, dist, ratio in hits]
+    return candidates_for_trajectory(index, [point], radius, max_candidates,
+                                     min_candidates)[0]
 
 
 def candidates_for_trajectory(index: SpatialIndex,
                               points: Sequence[GPSPoint],
                               radius: float = 80.0,
-                              max_candidates: int = 8
+                              max_candidates: int = 8,
+                              min_candidates: int = 2
                               ) -> List[List[Candidate]]:
-    """Candidate columns for every fix of a trajectory."""
-    return [candidates_for_point(index, p, radius, max_candidates)
-            for p in points]
+    """Candidate columns for every fix of a trajectory
+    (:func:`candidates_for_point` per fix, as one batched radius query
+    plus one batched k-nearest query for the fixes it leaves short)."""
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be >= 1")
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    columns = [hits[:max_candidates]
+               for hits in index.edges_within_batch(xs, ys, radius)]
+    short = [i for i, hits in enumerate(columns)
+             if len(hits) < min_candidates]
+    if short:
+        nearest = index.k_nearest_edges_batch(
+            [xs[i] for i in short], [ys[i] for i in short],
+            k=max(min_candidates, 1))
+        for i, hits in zip(short, nearest):
+            columns[i] = hits
+    return [[Candidate(eid, dist, ratio) for eid, dist, ratio in hits]
+            for hits in columns]

@@ -12,12 +12,12 @@ connected path via shortest-path gap filling.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.cache import LRUCache
 from ..obs.metrics import MetricsRegistry
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import NoPathError, dijkstra, dijkstra_sssp
@@ -29,60 +29,6 @@ from .candidates import Candidate, candidates_for_trajectory
 
 class MatchingError(Exception):
     """Raised when a trajectory cannot be matched to the network."""
-
-
-class LRUCache:
-    """Bounded LRU mapping with hit/miss/eviction accounting.
-
-    No locking: a matcher is used from one thread, and fork-pool workers
-    each own a copy-on-write copy.  ``get`` counts a hit or miss;
-    ``peek``-style access is deliberately absent so the exported hit
-    rate reflects every lookup.
-    """
-
-    _MISSING = object()
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: "OrderedDict" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key, default=None):
-        value = self._data.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        if len(data) > self.capacity:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {"size": float(len(self._data)),
-                "capacity": float(self.capacity),
-                "hits": float(self.hits), "misses": float(self.misses),
-                "evictions": float(self.evictions),
-                "hit_rate": self.hit_rate}
 
 
 @dataclass

@@ -12,78 +12,13 @@ same matrix — so both sit behind LRU caches here.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datagen.speed_matrix import SpeedMatrixStore
+from ..obs.cache import LRUCache
 from ..roadnet.spatial_index import SpatialIndex
-
-_MISSING = object()
-
-
-class LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Thread-safe; counts hits and misses so the service can export cache
-    effectiveness in its metrics snapshot.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Hashable, default=None):
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Hashable, value) -> None:
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            if len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def get_or_compute(self, key: Hashable, compute):
-        """Cached value for ``key``, calling ``compute()`` on a miss."""
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {"size": len(self._data), "capacity": self.capacity,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "hit_rate": self.hit_rate}
-
 
 class SpeedSliceCache:
     """Normalised speed-matrix slices keyed by (period, version).
@@ -188,9 +123,17 @@ class ODMatchCache:
 
     def nearest_edge(self, x: float, y: float) -> Tuple[int, float, float]:
         """(edge_id, distance, ratio) as in ``SpatialIndex.nearest_edge``."""
-        key = self._key(x, y)
-        return self._lru.get_or_compute(
-            key, lambda: self.index.nearest_edge(key[0], key[1]))
+        return self.nearest_edges([x], [y])[0]
+
+    def nearest_edges(self, xs: Sequence[float], ys: Sequence[float]
+                      ) -> List[Tuple[int, float, float]]:
+        """:meth:`nearest_edge` for every point ``(xs[i], ys[i])``: one
+        batched index query for the missed keys; hits, misses and
+        evictions as for one lookup per point in order."""
+        return self._lru.get_many(
+            [self._key(x, y) for x, y in zip(xs, ys)],
+            lambda keys: self.index.nearest_edges([k[0] for k in keys],
+                                                  [k[1] for k in keys]))
 
     @property
     def hit_rate(self) -> float:

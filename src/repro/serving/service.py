@@ -23,13 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.predictor import TravelTimePredictor, normalize_depart_time
+from ..core.predictor import TravelTimePredictor, match_queries
 from ..datagen.dataset import TaxiDataset
 from ..datagen.speed_matrix import LiveSpeedStore
 from ..obs.instrument import Instrumented
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from ..trajectory.model import ODInput, Query
+from ..trajectory.model import Query
 from .batcher import MicroBatcher
 from .cache import ODMatchCache, SpeedSliceCache
 from .errors import SaturatedError
@@ -276,10 +276,11 @@ class TravelTimeService(Instrumented):
         start = time.perf_counter()
         responses = self._answer_batch(
             [Query.coerce(q) for q in queries])
+        # Every query of a synchronous batch waits for the whole batch.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         hist = self.metrics.histogram("latency_ms")
         for _ in responses:
-            hist.observe(elapsed_ms / max(len(responses), 1))
+            hist.observe(elapsed_ms)
         return responses
 
     def submit(self, query, destination_xy: Optional[Tuple[float, float]]
@@ -344,25 +345,11 @@ class TravelTimeService(Instrumented):
                     self.tracer.annotate(route_failed=True)
             return self._fallback_answers(queries)
 
-    def _match(self, query: Query) -> ODInput:
-        depart_time = normalize_depart_time(
-            query.depart_time, self.dataset.horizon_seconds)
-        cache = self.od_cache
-        o_edge, _, o_ratio = cache.nearest_edge(*query.origin_xy)
-        d_edge, _, d_ratio = cache.nearest_edge(*query.destination_xy)
-        weather = self.dataset.weather.category(depart_time)
-        return ODInput(
-            origin_xy=query.origin_xy,
-            destination_xy=query.destination_xy,
-            depart_time=depart_time,
-            origin_edge=o_edge, destination_edge=d_edge,
-            ratio_start=o_ratio, ratio_end=d_ratio,
-            weather=weather)
-
     def _model_answers(self, queries: List[Query]
                        ) -> List[ServingResponse]:
         with self.tracer.span("serve.match", queries=len(queries)):
-            ods = [self._match(q) for q in queries]
+            ods = match_queries(queries, self.dataset,
+                                self.od_cache.nearest_edges)
         mats = None
         if self.slice_cache is not None:
             with self.tracer.span("serve.speed_slices"):
@@ -383,7 +370,8 @@ class TravelTimeService(Instrumented):
                        ) -> List[ServingResponse]:
         """Tier 1: shortest path × current (possibly live) cell speeds."""
         with self.tracer.span("serve.route", queries=len(queries)):
-            ods = [self._match(q) for q in queries]
+            ods = match_queries(queries, self.dataset,
+                                self.od_cache.nearest_edges)
             seconds = self.route_baseline.estimate_from_ods(ods)
         lo_r, hi_r = self.config.fallback_band_ratios
         return [ServingResponse(

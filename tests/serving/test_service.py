@@ -3,6 +3,7 @@
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -60,6 +61,24 @@ class TestModelPath:
         assert snap["histograms"]["latency_ms"]["count"] == 3
         assert snap["degraded"] is False
         assert "od_match_cache" in snap["gauges"]
+
+    def test_query_batch_latency_is_the_batch_wall(self, service,
+                                                   serving_dataset,
+                                                   monkeypatch):
+        # Every query of a synchronous batch waits for the whole batch,
+        # so each one observes the batch wall, not wall / batch size.
+        answer = service._answer_batch
+
+        def slow(queries):
+            time.sleep(0.02)
+            return answer(queries)
+
+        monkeypatch.setattr(service, "_answer_batch", slow)
+        service.query_batch(sample_queries(serving_dataset, 5))
+        hist = service.metrics.histogram("latency_ms")
+        assert hist.count == 5
+        assert hist.percentile(0) >= 20.0
+        assert hist.percentile(0) == hist.percentile(100)
 
     def test_submit_through_batcher(self, service, serving_dataset):
         queries = sample_queries(serving_dataset, 4)
