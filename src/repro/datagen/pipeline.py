@@ -245,7 +245,8 @@ def _build_disk(preset, spec, tracer, net, weather, traffic, matcher,
     writer.finish(order=order, preset=preset, info=info,
                   horizon_seconds=horizon, train_end=train_end,
                   val_end=val_end, speed_store=speed_store)
-    dataset = storage.open_dataset_dir(spec.out_dir)
+    dataset = storage.open_dataset_dir(spec.out_dir, net=net,
+                                       weather=weather, traffic=traffic)
     storage.stamp_fingerprint(spec.out_dir, dataset_fingerprint(dataset))
     return dataset
 

@@ -39,6 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..roadnet.graph import RoadNetwork
 from ..temporal.timeslot import TimeSlotConfig
 from ..trajectory.model import (
     GPSPoint, MatchedTrajectory, ODInput, PathElement, RawTrajectory,
@@ -376,9 +377,17 @@ class TripSlice(Sequence):
         return self._store[self._start + i]
 
 
-def open_dataset_dir(directory: str, cache_trips: int = 4096
+def open_dataset_dir(directory: str, cache_trips: int = 4096, *,
+                     net: Optional[RoadNetwork] = None,
+                     weather: Optional[WeatherProcess] = None,
+                     traffic: Optional[TrafficModel] = None
                      ) -> TaxiDataset:
-    """Open a finished dataset directory as a memory-mapped dataset."""
+    """Open a finished dataset directory as a memory-mapped dataset.
+
+    ``net`` / ``weather`` / ``traffic`` are the preset's processes when
+    the caller already holds them (the build that just wrote the
+    directory); each one omitted is regenerated from the preset seeds.
+    """
     meta = read_meta(directory)
     city = str(meta["city"])
     if city not in PRESETS:
@@ -386,9 +395,12 @@ def open_dataset_dir(directory: str, cache_trips: int = 4096
     preset = PRESETS[city]
     info = BuildInfo.from_dict(meta["build_info"])
     horizon = float(meta["horizon_seconds"])
-    net = preset_network(preset)
-    weather = WeatherProcess(horizon, seed=preset.seed + 1)
-    traffic = TrafficModel(net, TrafficConfig(), seed=preset.seed + 2)
+    if net is None:
+        net = preset_network(preset)
+    if weather is None:
+        weather = WeatherProcess(horizon, seed=preset.seed + 1)
+    if traffic is None:
+        traffic = TrafficModel(net, TrafficConfig(), seed=preset.seed + 2)
     store = TripStore(directory, meta, cache_trips=cache_trips)
     sp = meta["speed"]
     # Ownership of this map transfers to the SpeedMatrixStore built

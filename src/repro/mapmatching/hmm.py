@@ -11,7 +11,6 @@ connected path via shortest-path gap filling.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,8 +74,6 @@ class HMMMapMatcher:
         self.config = config or HMMConfig()
         self._route_cache = LRUCache(self.config.route_cache_size)
         self._sssp_cache = LRUCache(self.config.sssp_cache_size)
-        self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def match(self, traj: RawTrajectory) -> MatchedTrajectory:
@@ -198,106 +195,90 @@ class HMMMapMatcher:
 
     def _viterbi_vectorized(self, points: Sequence[GPSPoint],
                             columns: List[List[Candidate]]) -> List[int]:
-        """Column-vectorised Viterbi.
+        """Trajectory-vectorised Viterbi.
 
-        Each DP step evaluates the whole (prev x cur) candidate block as
-        numpy matrices.  Route distances come from cached single-source
-        shortest-path rows keyed by edge-end vertex, so a step costs a
-        handful of array ops instead of up to
-        ``max_candidates**2`` point-to-point Dijkstra runs.  Expression
-        trees mirror the scalar reference exactly (same operand order),
-        so both engines produce identical log-probabilities.
+        The whole lattice is built before the DP: candidate columns are
+        padded to ``(T, K)`` arrays (padding last, scored ``-inf``, so
+        ``argmax`` still keeps the first real maximum), the SSSP rows of
+        every edge-end vertex of the trajectory come through the row
+        cache with the missing ones computed in one many-source call,
+        and the ``(T-1, K, K)`` transition tensor is formed in one pass.
+        Expression trees mirror the scalar reference exactly (same
+        operand order), so both engines produce identical
+        log-probabilities and states.
         """
+        cfg = self.config
         n = len(points)
-        cols = [self._column_arrays(col) for col in columns]
-        prev_scores = self._emission_vector(cols[0])
-        back: List[np.ndarray] = []
+        eids, ratios, dists, valid = _padded_columns(columns)
+        emission = np.where(valid, -0.5 * (dists / cfg.sigma) ** 2
+                            - np.log(cfg.sigma * np.sqrt(2 * np.pi)),
+                            -np.inf)
+        trans = self._transition_tensor(points, eids, ratios, valid)
+        # lattice[t] holds the best score of each state of fix t; a fix
+        # whose states are all -inf leaves every later fix -inf too.
+        lattice = np.empty(eids.shape)
+        lattice[0] = emission[0]
+        back = np.empty((n - 1, eids.shape[1]), dtype=np.int64)
+        cols = np.arange(eids.shape[1])
         for t in range(1, n):
-            displacement = float(np.hypot(
-                points[t].x - points[t - 1].x,
-                points[t].y - points[t - 1].y))
-            trans = self._transition_matrix(cols[t - 1], cols[t],
-                                            displacement)
-            total = prev_scores[:, None] + trans
+            total = lattice[t - 1][:, None] + trans[t - 1]
             # np.argmax keeps the first maximum, like the reference's
             # strict-improvement scan.
-            pointers = np.argmax(total, axis=0)
-            scores = total[pointers, np.arange(total.shape[1])] \
-                + self._emission_vector(cols[t])
-            if not np.any(np.isfinite(scores)):
-                raise MatchingError(
-                    f"no feasible transition into GPS fix {t}")
-            prev_scores = scores
-            back.append(pointers.astype(np.int64))
+            back[t - 1] = pointers = total.argmax(axis=0)
+            lattice[t] = total[pointers, cols] + emission[t]
+        feasible = np.isfinite(lattice[1:]).any(axis=1)
+        if not feasible.all():
+            raise MatchingError("no feasible transition into GPS fix "
+                                f"{int(np.argmin(feasible)) + 1}")
 
-        states = [int(np.argmax(prev_scores))]
-        for pointers in reversed(back):
+        states = [int(np.argmax(lattice[-1]))]
+        for pointers in back[::-1]:
             states.append(int(pointers[states[-1]]))
         states.reverse()
         return states
 
-    def _column_arrays(self, col: List[Candidate]
-                       ) -> Tuple[np.ndarray, ...]:
-        """(edge_ids, ratios, distances, lengths, ends, starts) of one
-        candidate column."""
-        if self._edge_arrays is None:
-            net = self.net
-            num = net.num_edges
-            lengths = np.empty(num)
-            starts = np.empty(num, dtype=np.int64)
-            ends = np.empty(num, dtype=np.int64)
-            for eid in range(num):
-                edge = net.edge(eid)
-                lengths[eid] = edge.length
-                starts[eid] = edge.start
-                ends[eid] = edge.end
-            self._edge_arrays = (lengths, starts, ends)
-        lengths, starts, ends = self._edge_arrays
-        k = len(col)
-        eids = np.fromiter((c.edge_id for c in col), np.int64, count=k)
-        ratios = np.fromiter((c.ratio for c in col), np.float64, count=k)
-        dists = np.fromiter((c.distance for c in col), np.float64, count=k)
-        return (eids, ratios, dists, lengths[eids], ends[eids],
-                starts[eids])
-
-    def _emission_vector(self, col_arrays: Tuple[np.ndarray, ...]
-                         ) -> np.ndarray:
-        sigma = self.config.sigma
-        return (-0.5 * (col_arrays[2] / sigma) ** 2
-                - np.log(sigma * np.sqrt(2 * np.pi)))
-
-    def _sssp_row(self, vertex: int) -> np.ndarray:
-        row = self._sssp_cache.get(vertex)
-        if row is None:
-            row = dijkstra_sssp(self.net, vertex)
-            self._sssp_cache.put(vertex, row)
-        return row
-
-    def _transition_matrix(self, prev_arrays, cur_arrays,
-                           displacement: float) -> np.ndarray:
-        """(m, k) transition log-probabilities between two columns."""
+    def _transition_tensor(self, points: Sequence[GPSPoint],
+                           eids: np.ndarray, ratios: np.ndarray,
+                           valid: np.ndarray) -> np.ndarray:
+        """(T-1, K, K) transition log-probabilities between consecutive
+        padded columns; ``-inf`` wherever either state is padding."""
         cfg = self.config
-        eid_a, ratio_a, _, len_a, end_a, _ = prev_arrays
-        eid_b, ratio_b, _, len_b, _, start_b = cur_arrays
-        uniq_ends, inverse = np.unique(end_a, return_inverse=True)
-        rows = np.stack([self._sssp_row(int(v))[start_b]
-                         for v in uniq_ends])
-        between = rows[inverse]                       # (m, k)
-        tail = (1.0 - ratio_a) * len_a                # (m,)
-        head = ratio_b * len_b                        # (k,)
+        starts, ends, lengths = self.net.edge_arrays()
+        lens = lengths[eids]
+        xs = np.fromiter((p.x for p in points), np.float64, len(points))
+        ys = np.fromiter((p.y for p in points), np.float64, len(points))
+        displacement = np.hypot(xs[1:] - xs[:-1],
+                                ys[1:] - ys[:-1])[:, None, None]
+        # One SSSP row per distinct edge-end vertex of the trajectory.
+        end_a = ends[eids[:-1]]
+        uniq, inverse = np.unique(end_a[valid[:-1]], return_inverse=True)
+        slot = np.zeros(end_a.shape, dtype=np.int64)
+        slot[valid[:-1]] = inverse
+        rows = self._sssp_cache.get_many(uniq.tolist(), self._sssp_rows)
+        table = np.stack(rows) if rows else np.empty((0, 0))
+        between = table[slot[:, :, None], starts[eids[1:]][:, None, :]]
+        ratio_a, ratio_b = ratios[:-1, :, None], ratios[1:, None, :]
+        len_a = lens[:-1, :, None]
+        tail = (1.0 - ratio_a) * len_a                # (T-1, K, 1)
+        head = ratio_b * lens[1:, None, :]            # (T-1, 1, K)
         # Same operand order as the scalar `tail + between + head`.
-        route = (tail[:, None] + between) + head[None, :]
-        same = (eid_a[:, None] == eid_b[None, :]) \
-            & (ratio_b[None, :] >= ratio_a[:, None])
-        if same.any():
-            direct = (ratio_b[None, :] - ratio_a[:, None]) * len_a[:, None]
-            route = np.where(same, direct, route)
+        route = (tail + between) + head
+        same = (eids[:-1, :, None] == eids[1:, None, :]) \
+            & (ratio_b >= ratio_a)
+        route = np.where(same, (ratio_b - ratio_a) * len_a, route)
         diff = np.abs(route - displacement)
         penalty = -diff / cfg.beta
         # Unreachable pairs have route == inf, hence penalty == -inf,
         # matching the reference's `route is None -> -inf`.
         prune = route > cfg.max_route_factor * displacement + 200.0
-        return np.where(prune, penalty - 50.0, penalty)
+        trans = np.where(prune, penalty - 50.0, penalty)
+        trans[~(valid[:-1, :, None] & valid[1:, None, :])] = -np.inf
+        return trans
+
+    def _sssp_rows(self, vertices: List[int]) -> List[np.ndarray]:
+        """Cache misses of one trajectory: a single many-source SSSP,
+        split into rows that do not pin the whole block."""
+        return [row.copy() for row in dijkstra_sssp(self.net, vertices)]
 
     def _emission(self, cand: Candidate) -> float:
         sigma = self.config.sigma
@@ -407,3 +388,22 @@ class HMMMapMatcher:
         if prev.edge_id == edge_seq[-1]:
             return prev.ratio
         return 0.0
+
+
+def _padded_columns(columns: List[List[Candidate]]
+                    ) -> Tuple[np.ndarray, ...]:
+    """(edge_ids, ratios, distances, valid) of the candidate columns as
+    ``(T, K)`` arrays; each row holds its column's candidates in order,
+    then padding (``valid`` False, edge id 0)."""
+    sizes = np.fromiter(map(len, columns), np.int64, len(columns))
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    flat = [cand for col in columns for cand in col]
+    count = len(flat)
+    eids = np.zeros(valid.shape, dtype=np.int64)
+    ratios = np.zeros(valid.shape)
+    dists = np.zeros(valid.shape)
+    eids[valid] = np.fromiter((c.edge_id for c in flat), np.int64, count)
+    ratios[valid] = np.fromiter((c.ratio for c in flat), np.float64, count)
+    dists[valid] = np.fromiter((c.distance for c in flat), np.float64,
+                               count)
+    return eids, ratios, dists, valid

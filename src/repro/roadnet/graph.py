@@ -11,9 +11,11 @@ pair, and geometric helpers (edge length, point projection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class RoadNetwork:
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
         self._by_endpoints: Dict[Tuple[int, int], int] = {}
+        # Array views derived from the graph, dropped on every mutation.
+        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,6 +77,7 @@ class RoadNetwork:
         if vertex_id in self._vertices:
             raise ValueError(f"duplicate vertex id {vertex_id}")
         vertex = Vertex(vertex_id, float(x), float(y))
+        self._derived.clear()
         self._vertices[vertex_id] = vertex
         self._out.setdefault(vertex_id, [])
         self._in.setdefault(vertex_id, [])
@@ -95,7 +100,20 @@ class RoadNetwork:
         self._out[start].append(edge.edge_id)
         self._in[end].append(edge.edge_id)
         self._by_endpoints[(start, end)] = edge.edge_id
+        self._derived.clear()
         return edge
+
+    def derived(self, key: str, build: Callable[["RoadNetwork"], T]) -> T:
+        """``build(self)``, computed once and kept until the network
+        next gains a vertex or an edge."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self)
+        return value
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, lengths) of every edge, indexed by edge id."""
+        return self.derived("edge_arrays", _edge_arrays)
 
     # ------------------------------------------------------------------
     # Queries
@@ -187,3 +205,12 @@ class RoadNetwork:
     def __repr__(self) -> str:
         return (f"RoadNetwork(|V|={self.num_vertices}, "
                 f"|E|={self.num_edges})")
+
+
+def _edge_arrays(net: RoadNetwork
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    num = net.num_edges
+    starts = np.fromiter((e.start for e in net.edges()), np.int64, num)
+    ends = np.fromiter((e.end for e in net.edges()), np.int64, num)
+    lengths = np.fromiter((e.length for e in net.edges()), np.float64, num)
+    return starts, ends, lengths

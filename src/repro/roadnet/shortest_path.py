@@ -3,10 +3,12 @@
 Used by the trip simulator (route choice), the map matcher (transition
 probabilities need network distances between candidate edges) and the TEMP
 baseline (not directly, but its neighbourhood queries reuse the spatial
-index).  Provides static Dijkstra / A* over edge lengths and a
-time-dependent variant whose edge costs come from the traffic model, plus a
-stochastic perturbed-cost router so two trips over the same OD pair can take
-different routes (the phenomenon motivating the paper's Example 1).
+index).  Provides static Dijkstra / A* over edge lengths, a many-source
+shortest-path kernel on :mod:`scipy.sparse.csgraph` for the static-length
+case, and a time-dependent variant whose edge costs come from the traffic
+model, plus a stochastic perturbed-cost router so two trips over the same
+OD pair can take different routes (the phenomenon motivating the paper's
+Example 1).
 """
 
 from __future__ import annotations
@@ -62,37 +64,34 @@ def dijkstra(net: RoadNetwork, source: int, target: int,
     raise NoPathError(f"no path from {source} to {target}")
 
 
-def dijkstra_sssp(net: RoadNetwork, source: int,
-                  edge_cost: Optional[Callable[[int], float]] = None
-                  ) -> np.ndarray:
-    """Single-source shortest-path distances to *every* vertex.
+def dijkstra_sssp(net: RoadNetwork, sources) -> np.ndarray:
+    """Shortest-path lengths from one or many sources to every vertex.
 
-    Returns a ``(num_vertices,)`` float array with ``np.inf`` for
-    unreachable vertices.  Distances agree exactly with point-to-point
-    :func:`dijkstra` (same relaxation arithmetic, no early exit), which
-    is what lets the vectorised map matcher cache one row per source
-    vertex instead of one entry per vertex pair.
+    ``sources`` is a vertex id (returns a ``(num_vertices,)`` row) or an
+    array of them (returns ``(len(sources), num_vertices)`` rows, one per
+    entry, duplicates included); unreachable vertices read ``np.inf``.
+    Runs :func:`scipy.sparse.csgraph.dijkstra` over the network's cached
+    CSR length matrix.  Edge lengths are positive and the graph has no
+    parallel edges or self-loops, so every distance is the unique fixed
+    point ``d[v] = min_u fl(d[u] + w_uv)`` and the rows are bit-identical
+    to point-to-point :func:`dijkstra`, which is what lets the map
+    matcher cache one row per source vertex.
     """
-    if edge_cost is None:
-        edge_cost = lambda eid: net.edge(eid).length  # noqa: E731
-    dist = np.full(net.num_vertices, np.inf)
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited = np.zeros(net.num_vertices, dtype=bool)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if visited[v]:
-            continue
-        visited[v] = True
-        for edge in net.out_edges(v):
-            cost = edge_cost(edge.edge_id)
-            if cost < 0:
-                raise ValueError("negative edge cost")
-            nd = d + cost
-            if nd < dist[edge.end]:
-                dist[edge.end] = nd
-                heapq.heappush(heap, (nd, edge.end))
-    return dist
+    # Imported on first use: serving replicas never run this and should
+    # not pay the csgraph import.
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+    lengths = net.derived("csr_lengths", _csr_lengths)
+    indices = np.asarray(sources, dtype=np.int64)
+    if indices.size == 0:
+        return np.empty(indices.shape + (net.num_vertices,))
+    return csgraph_dijkstra(lengths, directed=True, indices=indices)
+
+
+def _csr_lengths(net: RoadNetwork):
+    from scipy.sparse import csr_matrix
+    starts, ends, lengths = net.edge_arrays()
+    n = net.num_vertices
+    return csr_matrix((lengths, (starts, ends)), shape=(n, n))
 
 
 def astar(net: RoadNetwork, source: int, target: int,

@@ -133,6 +133,28 @@ class TestChunkedParity:
         assert read_meta(out)["fingerprint"] == dataset_fingerprint(oneshot)
         assert reopened.build_params.storage == "disk"
 
+    def test_disk_build_reuses_its_processes(self, oneshot, tmp_path,
+                                             monkeypatch):
+        # The build hands its network / weather / traffic to the open
+        # step instead of regenerating them from the preset.
+        from repro.datagen import storage
+
+        def regenerate(preset):
+            raise AssertionError("disk build regenerated its network")
+
+        monkeypatch.setattr(storage, "preset_network", regenerate)
+        out = str(tmp_path / "ds")
+        disk = build(DatasetSpec(CITY, num_trips=TRIPS, num_days=DAYS,
+                                 chunk_size=32, storage="disk",
+                                 out_dir=out))
+        assert dataset_fingerprint(disk) == dataset_fingerprint(oneshot)
+        monkeypatch.undo()
+        with TaxiDataset.open(out) as reopened:
+            assert reopened.net is not disk.net
+            assert (dataset_fingerprint(reopened)
+                    == read_meta(out)["fingerprint"])
+        disk.close()
+
     def test_speed_matrix_identical(self, oneshot, tmp_path):
         out = str(tmp_path / "ds")
         disk = build(DatasetSpec(CITY, num_trips=TRIPS, num_days=DAYS,
