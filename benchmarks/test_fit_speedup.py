@@ -21,6 +21,7 @@ from pathlib import Path
 from repro.core import DeepODConfig, DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build
 from repro.nn import validate_bench_fit
+from repro.nn.engine import _as_reference
 from repro.obs import Tracer
 
 from .conftest import bench_scale, print_header
@@ -29,12 +30,12 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fit.json"
 PHASES = ("forward", "backward", "optimizer")
 
 
-def _fit_config(nn_engine: str, epochs: int) -> DeepODConfig:
+def _fit_config(epochs: int) -> DeepODConfig:
     return DeepODConfig(
         d_s=32, d_t=16, d1_m=32, d2_m=16, d3_m=32, d4_m=16,
         d5_m=32, d6_m=16, d7_m=32, d9_m=32, d_h=32, d_traf=16,
         batch_size=64, epochs=epochs, seed=0, aux_weight=0.3,
-        use_external_features=False, nn_engine=nn_engine)
+        use_external_features=False)
 
 
 def _phase_seconds(tracer: Tracer) -> dict:
@@ -52,9 +53,9 @@ def _phase_seconds(tracer: Tracer) -> dict:
     return {f"{phase}_s": totals[phase] for phase in PHASES}
 
 
-def _bench_engine(dataset, nn_engine: str, epochs: int,
+def _bench_engine(dataset, reference: bool, epochs: int,
                   repeats: int = 2) -> dict:
-    """Best-of-``repeats`` fit timing for one engine.
+    """Best-of-``repeats`` fit timing, on the oracles if ``reference``.
 
     The bench box is a single loaded core, so individual fits jitter by
     10-20%; the minimum over identical same-seed runs is the stable
@@ -63,7 +64,9 @@ def _bench_engine(dataset, nn_engine: str, epochs: int,
     """
     best = None
     for _ in range(repeats):
-        model = build_deepod(dataset, _fit_config(nn_engine, epochs))
+        model = build_deepod(dataset, _fit_config(epochs))
+        if reference:
+            _as_reference(model)
         tracer = Tracer()
         trainer = DeepODTrainer(model, dataset, eval_every=0,
                                 tracer=tracer)
@@ -89,8 +92,8 @@ def test_fit_engine_speedup():
     dataset = build(DatasetSpec("mini-chengdu", num_trips=trips, num_days=14))
     steps = epochs * -(-len(dataset.split.train) // 64)
 
-    ref = _bench_engine(dataset, "reference", epochs)
-    fast = _bench_engine(dataset, "fast", epochs)
+    ref = _bench_engine(dataset, True, epochs)
+    fast = _bench_engine(dataset, False, epochs)
     speedup = ref["fit_s"] / fast["fit_s"]
 
     print_header("nn engine — fused hot path vs per-op reference")

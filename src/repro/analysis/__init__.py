@@ -7,7 +7,7 @@ relies on but previously enforced only by convention:
     reprolint — an AST rule engine with per-line ``# repro:
     allow[<rule>]`` pragmas.  Determinism rules (seeded Generator
     threading, no wall-clock in deterministic paths), API hygiene rules
-    (deprecated shims, bare excepts, mutable defaults) and numerics
+    (bare excepts, mutable defaults) and numerics
     rules (per-zone float dtype discipline).  Run it with
     ``python -m repro.cli lint src tests benchmarks examples``.
 ``graph`` / ``rules_arch``

@@ -89,8 +89,7 @@ class LintConfig:
     ``eventclock_zones`` names module prefixes where time may only come
     from an injected ``EventClock`` — there even the monotonic clock is
     off-limits (replays must be deterministic and fast-forwardable);
-    ``deprecated_modules`` maps retired import paths to their
-    replacements; ``dtype_zones`` pins the float dtype convention per
+    ``dtype_zones`` pins the float dtype convention per
     module prefix (longest prefix wins).
 
     ``layers`` is the declared subsystem DAG: for every top-level
@@ -105,14 +104,6 @@ class LintConfig:
     wallclock_allowlist: Tuple[str, ...] = (
         "repro.obs.tracing", "repro.experiments.registry")
     eventclock_zones: Tuple[str, ...] = ("repro.streaming",)
-    deprecated_modules: Tuple[Tuple[str, str], ...] = (
-        ("repro.serving.metrics", "repro.obs.metrics"),
-        ("repro.datagen.cities.build_city",
-         "repro.datagen.pipeline.build_from_preset"),
-        ("repro.datagen.cities.load_city", "repro.datagen.pipeline.build"),
-        ("repro.datagen.build_city", "repro.datagen.build_from_preset"),
-        ("repro.datagen.load_city", "repro.datagen.build"),
-    )
     dtype_zones: Tuple[Tuple[str, str], ...] = (
         ("repro.embedding.skipgram", "float32"),
         ("repro.embedding.walks", "float32"),

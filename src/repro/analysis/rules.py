@@ -22,8 +22,6 @@ deterministic path reads the wall clock:
 
 API hygiene:
 
-* ``H001`` — no internal imports of deprecated shims
-  (``repro.serving.metrics`` -> ``repro.obs.metrics``).
 * ``H002`` — no bare ``except:`` (autofixable to ``except Exception:``).
 * ``H003`` — no mutable default arguments.
 
@@ -43,7 +41,7 @@ from .engine import LintContext, Rule
 
 __all__ = ["ALL_RULES", "rule_by_id",
            "D001ModuleLevelRandom", "D002UnseededDefaultRng",
-           "D003WallClock", "H001DeprecatedImport", "H002BareExcept",
+           "D003WallClock", "H002BareExcept",
            "H003MutableDefault", "N001DtypeDiscipline"]
 
 
@@ -154,54 +152,6 @@ class D003WallClock(Rule):
         self.generic_visit(node)
 
 
-class H001DeprecatedImport(Rule):
-    """No internal imports of deprecated shim modules."""
-
-    id = "H001"
-    title = "import of deprecated shim"
-
-    @classmethod
-    def applies_to(cls, ctx: LintContext) -> bool:
-        # The shim module itself re-exports from the new location.
-        return ctx.module not in dict(ctx.config.deprecated_modules)
-
-    def _deprecated(self) -> dict:
-        return dict(self.ctx.config.deprecated_modules)
-
-    def _check(self, node: ast.AST, target: str) -> None:
-        replacement = self._deprecated().get(target)
-        if replacement:
-            self.report(node, f"{target} is a deprecated shim; import "
-                              f"from {replacement} instead")
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._check(node, alias.name)
-
-    def _resolve_from(self, node: ast.ImportFrom) -> str:
-        if not node.level:
-            return node.module or ""
-        # Resolve the relative import against this file's package.
-        package_parts = self.ctx.module.split(".")
-        if not self.ctx.path.endswith("__init__.py"):
-            package_parts = package_parts[:-1]
-        drop = node.level - 1
-        if drop:
-            package_parts = package_parts[:-drop] if drop <= len(
-                package_parts) else []
-        base = ".".join(package_parts)
-        if node.module:
-            return f"{base}.{node.module}" if base else node.module
-        return base
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        target = self._resolve_from(node)
-        self._check(node, target)
-        for alias in node.names:
-            self._check(node, f"{target}.{alias.name}" if target
-                        else alias.name)
-
-
 class H002BareExcept(Rule):
     """No bare ``except:`` — it swallows KeyboardInterrupt/SystemExit."""
 
@@ -295,7 +245,7 @@ class N001DtypeDiscipline(Rule):
 
 ALL_RULES: Tuple[type, ...] = (
     D001ModuleLevelRandom, D002UnseededDefaultRng, D003WallClock,
-    H001DeprecatedImport, H002BareExcept, H003MutableDefault,
+    H002BareExcept, H003MutableDefault,
     N001DtypeDiscipline,
 )
 

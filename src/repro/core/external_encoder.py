@@ -28,16 +28,15 @@ class TrafficConditionCNN(Module):
     """Speed matrix -> D_traf (Section 4.5's three-block CNN)."""
 
     def __init__(self, d_traf: int,
-                 rng: Optional[np.random.Generator] = None,
-                 engine: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.d_traf = d_traf
         self.block1 = ConvBNReLU(1, 8, kernel_size=3, stride=2, padding=1,
-                                 rng=rng, engine=engine)
+                                 rng=rng)
         self.block2 = ConvBNReLU(8, 16, kernel_size=3, stride=2, padding=1,
-                                 rng=rng, engine=engine)
+                                 rng=rng)
         self.block3 = ConvBNReLU(16, d_traf, kernel_size=3, stride=1,
-                                 padding=1, rng=rng, engine=engine)
+                                 padding=1, rng=rng)
 
     @shaped("(B, *, *) -> (B, d_traf)")
     def forward(self, matrices: Tensor) -> Tensor:
@@ -58,11 +57,9 @@ class ExternalFeaturesEncoder(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.config = config
-        self.cnn = TrafficConditionCNN(config.d_traf, rng=rng,
-                                       engine=config.nn_engine)
+        self.cnn = TrafficConditionCNN(config.d_traf, rng=rng)
         self.mlp = TwoLayerMLP(N_WEATHER_TYPES + config.d_traf,
-                               config.d5_m, config.d6_m, rng=rng,
-                               engine=config.nn_engine)
+                               config.d5_m, config.d6_m, rng=rng)
 
     @shaped("_, _ -> (B, config.d6_m)")
     def forward(self, weather_ids: Sequence[int],

@@ -34,16 +34,18 @@ from .embeddings import TimeSlotEmbedding
 class TimeIntervalEncoder(Module):
     """Interval -> tcode (batched)."""
 
+    engine = "fast"
+
     def __init__(self, config: DeepODConfig,
                  slot_embedding: TimeSlotEmbedding,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.config = config
         self.slot_embedding = slot_embedding
-        self.resnet = IntervalResNetBlock(rng=rng, engine=config.nn_engine)
+        self.resnet = IntervalResNetBlock(rng=rng)
         # Eq. 11: input is Z5 (d_t) concatenated with the two remainders.
         self.mlp = TwoLayerMLP(config.d_t + 2, config.d1_m, config.d2_m,
-                               rng=rng, engine=config.nn_engine)
+                               rng=rng)
 
     @property
     def slot_config(self) -> TimeSlotConfig:
@@ -87,7 +89,7 @@ class TimeIntervalEncoder(Module):
         z4 = self.resnet(dt_tensor, mask=row_mask)        # Eq. 5-8
         z4 = z4.reshape(batch, max_len, d_t)
         # Masked average pool over the slot axis (Eq. 10).
-        if self.config.nn_engine == "fast":
+        if self.engine == "fast":
             z5 = masked_mean_pool(z4, mask)
         else:
             mask_t = Tensor(mask[:, :, None])

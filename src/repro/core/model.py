@@ -48,8 +48,7 @@ class TravelTimeEstimatorHead(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.config = config
-        self.mlp2 = TwoLayerMLP(config.d8_m, config.d9_m, 1, rng=rng,
-                                engine=config.nn_engine)
+        self.mlp2 = TwoLayerMLP(config.d8_m, config.d9_m, 1, rng=rng)
 
     @shaped("(B, config.d8_m) -> (B, 1)")
     def forward(self, code: Tensor) -> Tensor:
@@ -58,6 +57,8 @@ class TravelTimeEstimatorHead(Module):
 
 class DeepOD(Module):
     """The full model: M_O + M_T + M_E with shared embeddings."""
+
+    engine = "fast"
 
     def __init__(self, config: DeepODConfig,
                  road_embedding: RoadSegmentEmbedding,
@@ -125,7 +126,7 @@ class DeepOD(Module):
                         speed_matrices: Optional[np.ndarray] = None
                         ) -> DeepODLosses:
         """Algorithm 1 lines 7-12 for one mini-batch."""
-        fast = self.config.nn_engine == "fast"
+        fast = self.engine == "fast"
         code = self.encode_od(ods, speed_matrices)
         pred = self.estimator(code)
         targets = self._normalize(

@@ -49,8 +49,7 @@ class ODEncoder(Module):
                     + 3)                    # r[1], r[-1], t_r
         if config.use_timestamp_directly:
             in_width += 1                   # raw timestamp feature (T-stamp)
-        self.mlp1 = TwoLayerMLP(in_width, config.d7_m, config.d8_m, rng=rng,
-                                engine=config.nn_engine)
+        self.mlp1 = TwoLayerMLP(in_width, config.d7_m, config.d8_m, rng=rng)
 
     @shaped("_ -> (B, config.d8_m)")
     def forward(self, ods: Sequence[ODInput],

@@ -25,7 +25,7 @@ import numpy as np
 from ..analysis.contracts import shaped
 from ..nn import (
     GRU, LSTM, Linear, Module, Tensor, TwoLayerMLP, concat,
-    masked_mean_pool, resolve_nn_engine, sequence_mask,
+    masked_mean_pool, sequence_mask,
 )
 from ..trajectory.model import MatchedTrajectory
 from .config import DeepODConfig
@@ -40,13 +40,13 @@ class MeanSequenceEncoder(Module):
     ordering information an RNN captures.
     """
 
+    engine = "fast"
+
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None,
-                 engine: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.proj = Linear(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, D), _ -> _, (B, hidden_size)")
     def forward(self, x: Tensor, lengths=None):
@@ -77,17 +77,14 @@ class TrajectoryEncoder(Module):
         self.interval_encoder = interval_encoder
         input_size = config.d2_m + config.d_s      # D^st = [tcode, D^s]
         if config.sequence_encoder == "lstm":
-            self.lstm = LSTM(input_size, config.d_h, rng=rng,
-                             engine=config.nn_engine)
+            self.lstm = LSTM(input_size, config.d_h, rng=rng)
         elif config.sequence_encoder == "gru":
-            self.lstm = GRU(input_size, config.d_h, rng=rng,
-                            engine=config.nn_engine)
+            self.lstm = GRU(input_size, config.d_h, rng=rng)
         else:
             self.lstm = MeanSequenceEncoder(input_size, config.d_h,
-                                            rng=rng,
-                                            engine=config.nn_engine)
+                                            rng=rng)
         self.mlp = TwoLayerMLP(config.d_h + 2, config.d3_m, config.d4_m,
-                               rng=rng, engine=config.nn_engine)
+                               rng=rng)
 
     @shaped("_ -> (B, config.d4_m)")
     def forward(self, trajectories: Sequence[MatchedTrajectory]) -> Tensor:

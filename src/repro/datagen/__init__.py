@@ -16,8 +16,6 @@ from .dataset import (
     subsample_training,
 )
 from .cities import PRESETS, CityPreset, preset_network
-# repro: allow[H001] deprecated shims re-exported for one release
-from .cities import build_city, load_city
 from .pipeline import (
     BENCH_DATAGEN_SCHEMA, DatasetSpec, build, build_from_preset,
     validate_bench_datagen, validate_bench_datagen_file,
@@ -37,7 +35,6 @@ __all__ = [
     "dataset_fingerprint", "split_indices", "strip_trajectories",
     "subsample_training",
     "PRESETS", "CityPreset", "preset_network",
-    "build_city", "load_city",
     "BENCH_DATAGEN_SCHEMA", "DatasetSpec", "build", "build_from_preset",
     "validate_bench_datagen", "validate_bench_datagen_file",
     "open_dataset_dir",

@@ -19,22 +19,17 @@ The ``mega-*`` tier scales the same three cities to 10^5-10^6 trips over
 larger networks.  Mega cities are meant to be built out of core — via
 ``repro.datagen.pipeline.build`` with ``storage="disk"`` — because the
 materialised trip objects of a full mega build do not comfortably fit in
-laptop RAM.
-
-``build_city`` / ``load_city`` are deprecated shims kept for one release;
-the typed entry point is ``repro.datagen.pipeline.build(DatasetSpec(...))``.
+laptop RAM.  The typed entry point for every build is
+``repro.datagen.pipeline.build(DatasetSpec(...))``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..obs.tracing import Tracer
 from ..roadnet.generators import grid_city
 from ..roadnet.graph import RoadNetwork
-from .dataset import TaxiDataset
 
 
 @dataclass
@@ -110,36 +105,3 @@ def preset_network(preset: CityPreset) -> RoadNetwork:
                      if preset.river_row >= 0 else None,
                      bridge_cols=preset.bridge_cols,
                      seed=preset.seed)
-
-
-def build_city(preset: CityPreset, num_trips: Optional[int] = None,
-               num_days: Optional[int] = None,
-               tracer: Optional[Tracer] = None) -> TaxiDataset:
-    """Deprecated: use ``repro.datagen.pipeline.build(DatasetSpec(...))``.
-
-    Thin shim over the pipeline's one-shot RAM build; behaviour (and the
-    resulting dataset bytes) are unchanged.
-    """
-    warnings.warn(
-        "build_city() is deprecated; use "
-        "repro.datagen.pipeline.build(DatasetSpec(...)) instead",
-        DeprecationWarning, stacklevel=2)
-    from .pipeline import build_from_preset
-    return build_from_preset(preset, num_trips=num_trips,
-                             num_days=num_days, tracer=tracer)
-
-
-def load_city(name: str, num_trips: Optional[int] = None,
-              num_days: Optional[int] = None,
-              tracer: Optional[Tracer] = None) -> TaxiDataset:
-    """Deprecated: use ``repro.datagen.pipeline.build(DatasetSpec(...))``."""
-    warnings.warn(
-        "load_city() is deprecated; use "
-        "repro.datagen.pipeline.build(DatasetSpec(city)) instead",
-        DeprecationWarning, stacklevel=2)
-    from .pipeline import DatasetSpec, build
-    if name not in PRESETS:
-        raise KeyError(
-            f"unknown city {name!r}; choose from {sorted(PRESETS)}")
-    spec = DatasetSpec(city=name, num_trips=num_trips, num_days=num_days)
-    return build(spec, tracer=tracer)

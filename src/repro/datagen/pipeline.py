@@ -1,7 +1,6 @@
 """Typed, out-of-core dataset build pipeline.
 
-One entry point replaces the grown-by-accretion build surface
-(``build_city`` / ``load_city`` / untyped ``build_params``):
+One typed entry point builds every dataset:
 
     >>> from repro.datagen import DatasetSpec, build
     >>> dataset = build(DatasetSpec("mini-chengdu", num_trips=200))
@@ -107,11 +106,8 @@ def build(spec: DatasetSpec, tracer: Optional[Tracer] = None) -> TaxiDataset:
 def build_from_preset(preset: CityPreset, num_trips: Optional[int] = None,
                       num_days: Optional[int] = None,
                       tracer: Optional[Tracer] = None) -> TaxiDataset:
-    """One-shot RAM build of an ad-hoc preset object.
-
-    Backs the legacy ``build_city`` shim, which accepted presets that
-    are not in the registry; registry cities should go through
-    :func:`build`.
+    """One-shot RAM build of an ad-hoc preset object (one that is not
+    in the registry); registry cities should go through :func:`build`.
     """
     spec = DatasetSpec(city=preset.name, num_trips=num_trips,
                        num_days=num_days)

@@ -2,9 +2,9 @@
 initialise the road-segment matrix Ws and the time-slot matrix Wt
 (Algorithm 1, lines 1-4).
 
-Walk generation and SGNS run on the alias-sampled lockstep engine by
-default; the scalar originals are retained as ``*_reference`` oracles
-(select them with ``EmbeddingConfig(engine="reference")``)."""
+Walk generation and SGNS run on the alias-sampled lockstep engine; the
+scalar originals are retained as ``*_reference`` oracles that the
+equivalence tests and the speedup bench call directly."""
 
 from .alias import AliasTable, NodeAliasSampler
 from .api import EmbeddingConfig, embed_graph

@@ -12,13 +12,8 @@ import numpy as np
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..roadnet.linegraph import WeightedDigraph
 from .line import LineConfig, train_line
-from .skipgram import (
-    SkipGramConfig, train_skipgram, train_skipgram_reference,
-)
-from .walks import (
-    generate_node2vec_walks, generate_node2vec_walks_reference,
-    generate_walks, generate_walks_reference,
-)
+from .skipgram import SkipGramConfig, train_skipgram
+from .walks import generate_node2vec_walks, generate_walks
 
 
 @dataclass
@@ -36,17 +31,10 @@ class EmbeddingConfig:
     q: float = 2.0               # node2vec in-out parameter (DFS-ish)
     line_samples: int = 50_000
     seed: int = 0
-    # ``vectorized`` runs the alias-sampled lockstep walk engine and the
-    # fast SGNS; ``reference`` runs the retained scalar oracle (same
-    # distribution over walks/pairs, ~an order of magnitude slower).
-    # LINE has a single implementation and ignores this knob.
-    engine: str = "vectorized"   # vectorized | reference
 
     def __post_init__(self):
         if self.method not in ("node2vec", "deepwalk", "line"):
             raise ValueError(f"unknown embedding method {self.method!r}")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError(f"unknown embedding engine {self.engine!r}")
 
 
 def embed_graph(graph: WeightedDigraph,
@@ -54,9 +42,10 @@ def embed_graph(graph: WeightedDigraph,
                 tracer: Optional[Tracer] = None) -> np.ndarray:
     """Embed all nodes of ``graph``; returns (num_nodes, dim).
 
-    ``node2vec`` / ``deepwalk`` sample walks then train SGNS; ``line``
-    trains directly on weighted edge samples.  ``tracer`` receives one
-    span per stage (walk sampling, SGNS training, LINE training).
+    ``node2vec`` / ``deepwalk`` sample alias-sampled lockstep walks
+    then train the fast SGNS; ``line`` trains directly on weighted edge
+    samples.  ``tracer`` receives one span per stage (walk sampling,
+    SGNS training, LINE training).
     """
     config = config or EmbeddingConfig()
     tracer = tracer or NULL_TRACER
@@ -68,25 +57,19 @@ def embed_graph(graph: WeightedDigraph,
                          samples=config.line_samples, dim=config.dim):
             return train_line(graph, line_cfg, rng)
 
-    vectorized = config.engine == "vectorized"
     with tracer.span("embed.walks", method=config.method,
-                     engine=config.engine, nodes=graph.num_nodes,
-                     num_walks=config.num_walks,
+                     nodes=graph.num_nodes, num_walks=config.num_walks,
                      walk_length=config.walk_length):
         if config.method == "node2vec":
-            walk_fn = (generate_node2vec_walks if vectorized
-                       else generate_node2vec_walks_reference)
-            walks = walk_fn(graph, config.num_walks, config.walk_length,
-                            p=config.p, q=config.q, rng=rng)
+            walks = generate_node2vec_walks(
+                graph, config.num_walks, config.walk_length,
+                p=config.p, q=config.q, rng=rng)
         else:
-            walk_fn = (generate_walks if vectorized
-                       else generate_walks_reference)
-            walks = walk_fn(graph, config.num_walks, config.walk_length,
-                            rng=rng)
+            walks = generate_walks(graph, config.num_walks,
+                                   config.walk_length, rng=rng)
         tracer.add("walks", len(walks))
     sg_cfg = SkipGramConfig(dim=config.dim, window=config.window,
                             negatives=config.negatives, epochs=config.epochs)
-    sg_fn = train_skipgram if vectorized else train_skipgram_reference
-    with tracer.span("embed.sgns", engine=config.engine, dim=config.dim,
+    with tracer.span("embed.sgns", dim=config.dim,
                      epochs=config.epochs, window=config.window):
-        return sg_fn(walks, graph.num_nodes, sg_cfg, rng)
+        return train_skipgram(walks, graph.num_nodes, sg_cfg, rng)

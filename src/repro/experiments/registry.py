@@ -258,13 +258,8 @@ class RunRegistry:
             raise RegistryError(f"run {run_id!r} has no config.json")
         with open(path) as handle:
             payload = json.load(handle)
-        known = {f.name for f in dataclasses.fields(DeepODConfig)}
-        unknown = set(payload) - known
-        if unknown:
-            raise RegistryError(
-                f"run config has unknown fields {sorted(unknown)}")
         try:
-            return DeepODConfig(**payload)
+            return DeepODConfig.from_dict(payload)
         except (TypeError, ValueError) as exc:
             raise RegistryError(f"invalid run config: {exc}")
 

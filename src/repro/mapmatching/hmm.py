@@ -38,12 +38,9 @@ class HMMConfig:
     emission model; ``beta`` scales the transition penalty on route-vs-
     displacement discrepancy; ``radius`` bounds the candidate search.
 
-    ``engine`` selects the Viterbi implementation: ``"vectorized"``
-    (numpy emission/transition matrices over each fix's candidate
-    column, route distances from cached per-vertex SSSP rows) or
-    ``"reference"`` (the retained per-candidate scalar oracle).  Both
-    produce the same matched paths; the benchmark suite asserts the
-    speedup and the parity tests assert the agreement.
+    ``route_cache_size`` bounds the shortest paths memoised per vertex
+    pair (gap filling between matched edges); ``sssp_cache_size``
+    bounds the per-vertex SSSP rows the Viterbi transitions read.
     """
 
     sigma: float = 25.0
@@ -51,15 +48,12 @@ class HMMConfig:
     radius: float = 80.0
     max_candidates: int = 8
     max_route_factor: float = 8.0    # prune absurd detours
-    engine: str = "vectorized"
-    route_cache_size: int = 32768    # scalar-engine pairwise route cache
-    sssp_cache_size: int = 4096      # vectorized-engine per-vertex rows
+    route_cache_size: int = 32768    # vertex-pair shortest paths
+    sssp_cache_size: int = 4096      # per-vertex SSSP rows
 
     def __post_init__(self):
         if self.sigma <= 0 or self.beta <= 0 or self.radius <= 0:
             raise ValueError("sigma, beta and radius must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError("engine must be 'vectorized' or 'reference'")
         if self.route_cache_size < 1 or self.sssp_cache_size < 1:
             raise ValueError("cache sizes must be >= 1")
 
@@ -88,7 +82,7 @@ class HMMMapMatcher:
             self.config.max_candidates)
         if any(not col for col in columns):
             raise MatchingError("a GPS fix produced no candidates")
-        best_states = self._viterbi(points, columns)
+        best_states = self._viterbi_vectorized(points, columns)
         edge_seq, route_positions = self._expand_path(best_states, columns)
         start = columns[0][best_states[0]]
         end = columns[-1][best_states[-1]]
@@ -145,16 +139,10 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     # Viterbi
     # ------------------------------------------------------------------
-    def _viterbi(self, points: Sequence[GPSPoint],
-                 columns: List[List[Candidate]]) -> List[int]:
-        if self.config.engine == "vectorized":
-            return self._viterbi_vectorized(points, columns)
-        return self._viterbi_reference(points, columns)
-
     def _viterbi_reference(self, points: Sequence[GPSPoint],
                            columns: List[List[Candidate]]) -> List[int]:
         """Per-candidate scalar Viterbi — the oracle the vectorised
-        engine is benchmarked and parity-tested against."""
+        Viterbi is benchmarked and parity-tested against."""
         cfg = self.config
         n = len(points)
         # Log-probability tables.
@@ -204,8 +192,8 @@ class HMMMapMatcher:
         cache with the missing ones computed in one many-source call,
         and the ``(T-1, K, K)`` transition tensor is formed in one pass.
         Expression trees mirror the scalar reference exactly (same
-        operand order), so both engines produce identical
-        log-probabilities and states.
+        operand order), so both produce identical log-probabilities
+        and states.
         """
         cfg = self.config
         n = len(points)
@@ -306,28 +294,31 @@ class HMMMapMatcher:
         from a's position to the end of its edge, a shortest path to the
         start of b's edge, plus b's partial edge.
         """
-        key = (a.edge_id, round(a.ratio, 4), b.edge_id, round(b.ratio, 4))
-        # None (unreachable) is a legitimate cached value, so distinguish
-        # a miss with the cache's own sentinel default.
-        result = self._route_cache.get(key, LRUCache._MISSING)
-        if result is LRUCache._MISSING:
-            result = self._route_distance_uncached(a, b)
-            self._route_cache.put(key, result)
-        return result
-
-    def _route_distance_uncached(self, a: Candidate,
-                                 b: Candidate) -> Optional[float]:
         net = self.net
         edge_a, edge_b = net.edge(a.edge_id), net.edge(b.edge_id)
         if a.edge_id == b.edge_id and b.ratio >= a.ratio:
             return (b.ratio - a.ratio) * edge_a.length
+        route = self._route(edge_a.end, edge_b.start)
+        if route is None:
+            return None
         tail = (1.0 - a.ratio) * edge_a.length
         head = b.ratio * edge_b.length
-        try:
-            _, between = dijkstra(net, edge_a.end, edge_b.start)
-        except NoPathError:
-            return None
-        return tail + between + head
+        return tail + route[1] + head
+
+    def _route(self, u: int, v: int
+               ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """Shortest path ``u -> v`` as ``(edge ids, length)``, ``None``
+        when ``v`` is unreachable; memoised per vertex pair."""
+        # None is a cached value, so a miss is told by the sentinel.
+        route = self._route_cache.get((u, v), LRUCache._MISSING)
+        if route is LRUCache._MISSING:
+            try:
+                edges, length = dijkstra(self.net, u, v)
+                route = tuple(edges), length
+            except NoPathError:
+                route = None
+            self._route_cache.put((u, v), route)
+        return route
 
     # ------------------------------------------------------------------
     # Path expansion
@@ -368,13 +359,11 @@ class HMMMapMatcher:
             prev_ratio = self._ratio_on_last_edge(
                 edge_seq, positions, travelled, prev, cur)
             travelled += (1.0 - prev_ratio) * edge_prev.length
-            try:
-                gap_edges, gap_len = dijkstra(net, edge_prev.end,
-                                              edge_cur.start)
-            except NoPathError as exc:
-                raise MatchingError("matched states are disconnected") from exc
-            for eid in gap_edges:
-                edge_seq.append(eid)
+            route = self._route(edge_prev.end, edge_cur.start)
+            if route is None:
+                raise MatchingError("matched states are disconnected")
+            gap_edges, gap_len = route
+            edge_seq.extend(gap_edges)
             travelled += gap_len
             edge_seq.append(cur.edge_id)
             travelled += cur.ratio * edge_cur.length

@@ -11,8 +11,8 @@ and the interval ResNet block (Eq. 5-8), embeddings-as-one-hot-products
 
 from .tensor import Tensor, concat, stack, zeros, ones, unbroadcast
 from .engine import (
-    NN_ENGINES, default_nn_engine, resolve_nn_engine, sequence_mask,
-    lstm_sequence_fused, lstm_span_encode_fused, gru_sequence_fused,
+    sequence_mask, lstm_sequence_fused, lstm_span_encode_fused,
+    gru_sequence_fused,
     conv2d_fused,
     batchnorm2d_fused, conv_bn_relu_fused, interval_resnet_fused,
     mlp2_fused, validate_bench_fit, validate_bench_fit_file,
@@ -44,7 +44,6 @@ from .gradcheck import check_gradient, check_module_gradients, numeric_gradient
 
 __all__ = [
     "Tensor", "concat", "stack", "zeros", "ones", "unbroadcast",
-    "NN_ENGINES", "default_nn_engine", "resolve_nn_engine",
     "sequence_mask", "lstm_sequence_fused", "lstm_span_encode_fused",
     "gru_sequence_fused",
     "conv2d_fused", "batchnorm2d_fused", "conv_bn_relu_fused",

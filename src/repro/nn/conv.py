@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis.contracts import shaped
 from .engine import (
     batchnorm2d_fused, conv2d_fused, conv_bn_relu_fused,
-    interval_resnet_fused, resolve_nn_engine,
+    interval_resnet_fused,
 )
 from .functional import pad2d
 from .init import ensure_generator
@@ -63,14 +63,14 @@ def _im2col(x: Tensor, kh: int, kw: int, stride: Tuple[int, int]) -> Tuple[Tenso
 class Conv2d(Module):
     """2-D convolution ``(N, C_in, H, W) -> (N, C_out, H', W')``."""
 
+    engine = "fast"
+
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntPair, stride: IntPair = 1,
                  padding: IntPair = 0, bias: bool = True, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         rng = ensure_generator(rng, "Conv2d")
-        self.engine = resolve_nn_engine(engine)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = _pair(kernel_size)
@@ -122,11 +122,11 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel, with running stats."""
 
+    engine = "fast"
+
     def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1, *,
-                 engine: Optional[str] = None):
+                 momentum: float = 0.1):
         super().__init__()
-        self.engine = resolve_nn_engine(engine)
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
@@ -145,7 +145,8 @@ class BatchNorm2d(Module):
             self._update_running(mean, var)
             if self.engine == "fast":
                 # One fused node: normalise + affine with hand-written
-                # backward (the running stats above are engine-shared).
+                # backward (the running stats above are shared with
+                # the reference path).
                 return batchnorm2d_fused(x, self.weight, self.bias,
                                          self.eps)
             # Normalise with batch statistics via differentiable ops.
@@ -163,7 +164,7 @@ class BatchNorm2d(Module):
 
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's statistics into the running buffers — shared
-        by both engines and by the fused Conv→BN→ReLU block."""
+        by both paths and by the fused Conv→BN→ReLU block."""
         m = self.momentum
         self.update_buffer(
             "running_mean", (1 - m) * self.running_mean + m * mean)
@@ -177,13 +178,11 @@ class ConvBNReLU(Module):
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntPair = 3, stride: IntPair = 1,
                  padding: IntPair = 1, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.conv = Conv2d(in_channels, out_channels, kernel_size,
-                           stride=stride, padding=padding, rng=rng,
-                           engine=engine)
-        self.bn = BatchNorm2d(out_channels, engine=engine)
+                           stride=stride, padding=padding, rng=rng)
+        self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.conv.engine == "fast" and self.training:
@@ -206,17 +205,15 @@ class IntervalResNetBlock(Module):
     the residual shapes agree.
     """
 
-    def __init__(self, *, rng: np.random.Generator,
-                 engine: Optional[str] = None):
+    def __init__(self, *, rng: np.random.Generator):
         super().__init__()
         self.conv1 = Conv2d(1, 4, kernel_size=(3, 1), padding=(1, 0),
-                            rng=rng, engine=engine)
-        self.bn1 = BatchNorm2d(4, engine=engine)
+                            rng=rng)
+        self.bn1 = BatchNorm2d(4)
         self.conv2 = Conv2d(4, 8, kernel_size=(3, 1), padding=(1, 0),
-                            rng=rng, engine=engine)
-        self.bn2 = BatchNorm2d(8, engine=engine)
-        self.conv3 = Conv2d(8, 1, kernel_size=(1, 1), rng=rng,
-                            engine=engine)
+                            rng=rng)
+        self.bn2 = BatchNorm2d(8)
+        self.conv3 = Conv2d(8, 1, kernel_size=(1, 1), rng=rng)
 
     @shaped("(N, 1, S, D) -> (N, 1, S, D)")
     def forward(self, x: Tensor, mask: Optional[Tensor] = None) -> Tensor:

@@ -1,11 +1,10 @@
 """The fused ``nn`` engine: batched sequence kernels for the hot path.
 
-This module is the training/inference counterpart of the embedding
-engine split (``repro.embedding``): every kernel here has a scalar /
-per-op twin that stays behind as a reference oracle, and the engine is
-selected per model via ``DeepODConfig.nn_engine`` (``"fast"`` |
-``"reference"``, default fast) or the ``REPRO_NN_ENGINE`` environment
-variable.
+Every kernel here has a scalar / per-op twin that stays behind as a
+reference oracle.  Production always runs the fused kernels: each
+module whose forward branches carries ``engine = "fast"`` as a class
+attribute, and the parity tests and speedup benches switch a built
+model onto the oracles with :func:`_as_reference`.
 
 What "fused" means here:
 
@@ -35,33 +34,20 @@ is validated fail-closed by :func:`validate_bench_fit`.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .tensor import Tensor, scatter_rows
 
-NN_ENGINES = ("fast", "reference")
 
-
-def default_nn_engine() -> str:
-    """Engine selected by ``REPRO_NN_ENGINE`` (default ``"fast"``)."""
-    engine = os.environ.get("REPRO_NN_ENGINE", "fast")
-    if engine not in NN_ENGINES:
-        raise ValueError(
-            f"REPRO_NN_ENGINE must be one of {NN_ENGINES}, got {engine!r}")
-    return engine
-
-
-def resolve_nn_engine(engine: Optional[str]) -> str:
-    """Validate an engine name; ``None`` falls back to the default."""
-    if engine is None:
-        return default_nn_engine()
-    if engine not in NN_ENGINES:
-        raise ValueError(
-            f"nn engine must be one of {NN_ENGINES}, got {engine!r}")
-    return engine
+def _as_reference(module):
+    """Switch ``module`` and every submodule onto the per-op reference
+    path (the oracle of the parity tests and speedup benches); returns
+    ``module``."""
+    for sub in module.modules():
+        sub.engine = "reference"
+    return module
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ the instantiated choice, not the only admissible one.  The GRU here powers
 the sequence-encoder ablation bench (LSTM vs GRU vs mean pooling) listed
 in DESIGN.md Section 6.
 
-Like :class:`repro.nn.LSTM`, the unroll has a fused ``"fast"`` engine
-(:func:`~repro.nn.engine.gru_sequence_fused`) and a per-timestep
+Like :class:`repro.nn.LSTM`, the unroll runs a fused kernel
+(:func:`~repro.nn.engine.gru_sequence_fused`) and keeps a per-timestep
 ``"reference"`` oracle.
 """
 
@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.contracts import shaped
-from .engine import gru_sequence_fused, resolve_nn_engine, sequence_mask
+from .engine import gru_sequence_fused, sequence_mask
 from .init import ensure_generator
 from .modules import Module, Parameter
 from .rnn import _check_lengths, _check_state_dtype
@@ -64,19 +64,18 @@ class GRU(Module):
     """Unrolled GRU over padded variable-length batches.
 
     Interface-compatible with :class:`repro.nn.LSTM`: returns (outputs,
-    final hidden state), with padded steps frozen.  ``engine`` selects
-    the fused batched kernel (``"fast"``, default) or the per-timestep
-    reference unroll.
+    final hidden state), with padded steps frozen.  ``engine =
+    "reference"`` selects the per-timestep oracle unroll.
     """
 
+    engine = "fast"
+
     def __init__(self, input_size: int, hidden_size: int, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.input_size = input_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, input_size) -> (B, T, hidden_size), (B, hidden_size)")
     def forward(self, x: Tensor, lengths: Optional[Sequence[int]] = None

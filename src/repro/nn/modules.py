@@ -16,7 +16,7 @@ import numpy as np
 
 from ..analysis.contracts import shaped
 from . import init as init_schemes
-from .engine import mlp2_fused, resolve_nn_engine
+from .engine import mlp2_fused
 from .init import ensure_generator
 from .tensor import Tensor, concat
 
@@ -202,11 +202,11 @@ class TwoLayerMLP(Module):
     ``out = W2 ReLU(W1 x + b1) + b2``
     """
 
+    engine = "fast"
+
     def __init__(self, in_features: int, hidden: int, out_features: int,
-                 *, rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 *, rng: np.random.Generator):
         super().__init__()
-        self.engine = resolve_nn_engine(engine)
         self.in_features = in_features
         self.out_features = out_features
         self.fc1 = Linear(in_features, hidden, rng=rng)
@@ -225,10 +225,10 @@ class TwoLayerMLP(Module):
 
         The paper repeatedly appends hand-computed features (position
         ratios in Eq. 17, interval remainders in Eq. 11) to a learned
-        code before an MLP.  The tail carries no gradient, so the fast
-        engine feeds it straight into the fused kernel — no concat
-        node, no backward split, no throwaway gradient buffer.  The
-        reference engine keeps the literal concat as the oracle.
+        code before an MLP.  The tail carries no gradient, so it goes
+        straight into the fused kernel — no concat node, no backward
+        split, no throwaway gradient buffer.  The reference path keeps
+        the literal concat as the oracle.
         """
         if x.shape[:-1] != tail.shape[:-1]:
             raise ValueError(

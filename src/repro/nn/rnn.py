@@ -6,12 +6,12 @@ state h_n as the sequence representation.  :class:`LSTMCell` implements one
 unit exactly per Eq. 12-16; :class:`LSTM` unrolls it over a padded batch of
 variable-length sequences and gathers h at each sequence's true last step.
 
-Two unroll engines are available (see :mod:`repro.nn.engine`): the
-default ``"fast"`` path runs the whole batch through
+The unroll runs the whole batch through
 :func:`~repro.nn.engine.lstm_sequence_fused` — one input-projection
-GEMM plus a single hand-written BPTT node — while ``"reference"``
-keeps the original one-:class:`LSTMCell`-call-per-timestep unroll as
-the oracle the fused kernel is tested against.
+GEMM plus a single hand-written BPTT node.  The original
+one-:class:`LSTMCell`-call-per-timestep unroll stays as the oracle the
+fused kernel is tested against (``engine = "reference"``, see
+:func:`~repro.nn.engine._as_reference`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from ..analysis.contracts import shaped
 from .engine import (
-    lstm_sequence_fused, lstm_span_encode_fused, resolve_nn_engine,
-    sequence_mask,
+    lstm_sequence_fused, lstm_span_encode_fused, sequence_mask,
 )
 from .init import ensure_generator
 from .modules import Module, Parameter
@@ -114,19 +113,18 @@ def _check_state_dtype(tensor: Tensor, param: Parameter,
 class LSTM(Module):
     """Unrolled LSTM over padded batches of variable-length sequences.
 
-    ``engine`` selects the fused batched kernel (``"fast"``, default)
-    or the per-timestep reference unroll (``"reference"``); ``None``
-    resolves via ``REPRO_NN_ENGINE``.
+    Runs the fused batched kernel; ``engine = "reference"`` selects the
+    per-timestep oracle unroll.
     """
 
+    engine = "fast"
+
     def __init__(self, input_size: int, hidden_size: int, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.input_size = input_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, input_size) -> (B, T, hidden_size), (B, hidden_size)")
     def forward(self, x: Tensor, lengths: Optional[Sequence[int]] = None
@@ -171,7 +169,7 @@ class LSTM(Module):
         lengths)[1]`` without materialising the concatenation, the
         padded batch or the full output sequence (see
         :func:`~repro.nn.engine.lstm_span_encode_fused`).  Only valid
-        on the fast engine — reference callers compose the per-op
+        on the fused path — reference callers compose the per-op
         oracles instead.
         """
         if self.engine != "fast":

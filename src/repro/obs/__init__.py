@@ -11,8 +11,7 @@ time) and behind every later perf PR.  Three pieces:
     :data:`NULL_TRACER` keeps uninstrumented runs at zero cost.
 ``metrics``
     :class:`Counter` / :class:`Histogram` / :class:`MetricsRegistry`,
-    promoted from ``repro.serving.metrics`` (now a deprecated
-    re-export) so serving, the trainer and the sweep executor feed one
+    shared so serving, the trainer and the sweep executor feed one
     registry; ``global_registry()`` is the process-wide default.
 ``instrument``
     The :class:`Instrumented` mixin and :func:`traced` decorator that

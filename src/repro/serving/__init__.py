@@ -17,11 +17,6 @@ the operational half of that story:
     Tier 1 of the degradation ladder: shortest path × current cell
     speeds (taxisim's ``predict_trip_duration`` shape), live-traffic
     aware once ``repro.streaming`` feeds slices in.
-``metrics``
-    Deprecated re-export of ``repro.obs.metrics`` (counters and latency
-    histograms with a JSON snapshot now live in the shared
-    observability layer; ``Counter``/``Histogram``/``MetricsRegistry``
-    remain importable from here unchanged).
 ``service`` / ``server``
     The wired :class:`TravelTimeService` plus stdlib HTTP / JSON-lines
     front-ends (``python -m repro.cli serve``).
@@ -40,8 +35,7 @@ from .artifact import (
     validate_artifact,
 )
 from .batcher import MicroBatcher
-from .cache import LRUCache, ODMatchCache, SpeedSliceCache
-from ..obs.metrics import Counter, Histogram, MetricsRegistry
+from .cache import ODMatchCache, SpeedSliceCache
 from ..trajectory.model import Query
 from .errors import SaturatedError, ServiceUnavailable, WorkerUnavailableError
 from .fallback import HistoricalAverageFallback
@@ -54,10 +48,10 @@ __all__ = [
     "ArtifactError", "load_artifact", "read_manifest", "save_artifact",
     "validate_artifact",
     "MicroBatcher",
-    "LRUCache", "ODMatchCache", "SpeedSliceCache",
+    "ODMatchCache", "SpeedSliceCache",
     "HistoricalAverageFallback", "RouteTimeBaseline",
     "SaturatedError", "ServiceUnavailable", "WorkerUnavailableError",
-    "Counter", "Histogram", "MetricsRegistry", "Query",
+    "Query",
     "ServingHTTPServer", "parse_query", "run_jsonl_loop", "serve_http",
     "ServiceConfig", "ServingResponse", "TravelTimeService",
     "ClusterConfig", "ServingCluster",

@@ -166,13 +166,8 @@ def validate_artifact(directory: str) -> Dict:
 
 def _load_config(directory: str) -> DeepODConfig:
     payload = _read_json(os.path.join(directory, CONFIG_FILE))
-    known = {f.name for f in dataclasses.fields(DeepODConfig)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ArtifactError(
-            f"config.json has unknown fields {sorted(unknown)}")
     try:
-        return DeepODConfig(**payload)
+        return DeepODConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:
         raise ArtifactError(f"invalid config.json: {exc}")
 

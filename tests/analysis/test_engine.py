@@ -233,8 +233,7 @@ class TestCliLint:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D001", "D002", "D003", "H001", "H002",
-                        "H003", "N001"):
+        for rule_id in ("D001", "D002", "D003", "H002", "H003", "N001"):
             assert rule_id in out
 
     def test_fix_flag_rewrites(self, tmp_path, capsys):

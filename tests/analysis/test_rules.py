@@ -24,10 +24,6 @@ CASES = [
     # The streaming package is an event-clock zone: monotonic reads and
     # sleeps are D003 findings there too.
     ("D003", "d003_stream_bad.py", "d003_stream_good.py", 3),
-    ("H001", "h001_bad.py", "h001_good.py", 1),
-    # build_city/load_city retired in favour of the typed DatasetSpec
-    # build API; internal imports of the shims are findings.
-    ("H001", "h001_datagen_bad.py", "h001_datagen_good.py", 1),
     ("H002", "h002_bad.py", "h002_good.py", 1),
     ("H003", "h003_bad.py", "h003_good.py", 3),
     ("N001", "n001_bad.py", "n001_good.py", 2),

@@ -2,13 +2,9 @@
 
 The invariants here are the contract of the out-of-core path: chunked
 builds (any chunk size, any worker count) are byte-identical to the
-one-shot in-memory build, the on-disk dataset directory round-trips
-through ``TaxiDataset.open`` without changing the fingerprint, and the
-deprecated ``build_city`` / ``load_city`` shims still work while
-warning.
+one-shot in-memory build, and the on-disk dataset directory round-trips
+through ``TaxiDataset.open`` without changing the fingerprint.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -182,22 +178,6 @@ class TestSplitIndices:
         for n in (4, 5, 10):
             train_end, val_end = split_indices(n)
             assert 0 < train_end < val_end < n
-
-
-class TestDeprecatedShims:
-    def test_load_city_warns_and_matches(self, oneshot):
-        # repro: allow[H001] the shim is the subject under test
-        from repro.datagen import load_city
-        with pytest.warns(DeprecationWarning, match="load_city"):
-            legacy = load_city(CITY, num_trips=TRIPS, num_days=DAYS)
-        assert dataset_fingerprint(legacy) == dataset_fingerprint(oneshot)
-
-    def test_build_city_warns(self):
-        # repro: allow[H001] the shim is the subject under test
-        from repro.datagen import build_city
-        from repro.datagen.cities import PRESETS
-        with pytest.warns(DeprecationWarning, match="build_city"):
-            build_city(PRESETS[CITY], num_trips=20, num_days=2)
 
 
 class TestStorageErrors:

@@ -1,18 +1,20 @@
 """Tests for batch matching: parallel parity, dedup fan-back, error
 capture, the LRU route/SSSP caches and their metrics gauges, and the
-vectorized-vs-reference Viterbi engines."""
+vectorised Viterbi against its scalar reference."""
 
 import numpy as np
 import pytest
 
 from repro.mapmatching import (
-    HMMConfig, HMMMapMatcher, LRUCache, MatchRequest, MatchResult,
-    MatchingError, match_many,
+    HMMConfig, HMMMapMatcher, MatchRequest, MatchResult, MatchingError,
+    match_many,
 )
 from repro.obs import MetricsRegistry
+from repro.obs.cache import LRUCache
 from repro.roadnet import grid_city
 from repro.trajectory import GPSPoint, RawTrajectory
 
+from ..roadnet.test_sssp_block import seeded_trajectories
 from .test_hmm import synthesize_gps
 
 
@@ -114,8 +116,11 @@ class TestMatchMany:
 
 class TestEngines:
     def test_vectorized_matches_reference_exactly(self, city):
-        vec = HMMMapMatcher(city, config=HMMConfig(engine="vectorized"))
-        ref = HMMMapMatcher(city, config=HMMConfig(engine="reference"))
+        vec = HMMMapMatcher(city)
+        ref = HMMMapMatcher(city)
+        # match() always runs the vectorised Viterbi; bind the scalar
+        # oracle in its place on this one instance.
+        ref._viterbi_vectorized = ref._viterbi_reference
         for seed in range(8):
             traj = synthesize_gps(city, _straight_path(city, seed),
                                   seed=seed)
@@ -126,8 +131,9 @@ class TestEngines:
                 == [(p.enter_time, p.exit_time) for p in b.path]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            HMMConfig(engine="quantum")
+        # The Viterbi engine selector is gone from the config.
+        with pytest.raises(TypeError, match="engine"):
+            HMMConfig(engine="reference")
 
 
 class TestLRUCache:
@@ -160,12 +166,26 @@ class TestLRUCache:
             LRUCache(0)
 
     def test_route_cache_is_bounded(self, city):
-        config = HMMConfig(engine="reference", route_cache_size=64)
+        config = HMMConfig(route_cache_size=64)
         matcher = HMMMapMatcher(city, config=config)
         for seed in range(4):
             matcher.match(synthesize_gps(city, _straight_path(city, seed),
                                          seed=seed))
         assert len(matcher._route_cache) <= 64
+
+    def test_gap_fill_hits_route_cache_without_changing_paths(self):
+        # mini-chengdu fixes are 3 s apart: consecutive matched edges
+        # mostly touch, so the same vertex pairs recur.
+        net, trips = seeded_trajectories("mini-chengdu", 6)
+        default = HMMMapMatcher(net)
+        tiny = HMMMapMatcher(net, config=HMMConfig(route_cache_size=1))
+        for traj in trips:
+            a, b = default.match(traj), tiny.match(traj)
+            assert a.edge_ids == b.edge_ids
+            assert [(p.enter_time, p.exit_time) for p in a.path] \
+                == [(p.enter_time, p.exit_time) for p in b.path]
+        assert default.cache_stats()["route"]["hit_rate"] > 0
+        assert len(tiny._route_cache) == 1
 
     def test_gauges_mirror_cache_stats(self, city):
         registry = MetricsRegistry()

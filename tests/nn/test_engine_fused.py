@@ -1,10 +1,10 @@
 """Tests for the fused nn engine (``repro.nn.engine``).
 
-The ``"fast"`` engine's fused kernels — batched LSTM/GRU unrolls,
-im2col+GEMM Conv2d, single-node BatchNorm2d, fused losses and the masked
-mean pool — must match the per-op ``"reference"`` oracles in both the
-forward values and every gradient, across the sequence-length edge cases
-the Trajectory Encoder produces.
+The fused kernels — batched LSTM/GRU unrolls, im2col+GEMM Conv2d,
+single-node BatchNorm2d, fused losses and the masked mean pool — must
+match the per-op reference oracles (switched on with ``_as_reference``)
+in both the forward values and every gradient, across the
+sequence-length edge cases the Trajectory Encoder produces.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ import pytest
 
 from repro.nn import (
     GRU, LSTM, BatchNorm2d, Conv2d, Tensor, TwoLayerMLP, concat,
-    default_nn_engine, euclidean_loss, euclidean_loss_fused, mae_loss,
-    mae_loss_fused, masked_mean_pool, resolve_nn_engine, sequence_mask,
-    smooth_l1_loss, smooth_l1_loss_fused,
+    euclidean_loss, euclidean_loss_fused, mae_loss, mae_loss_fused,
+    masked_mean_pool, sequence_mask, smooth_l1_loss, smooth_l1_loss_fused,
 )
+from repro.nn.engine import _as_reference
 from repro.nn.gradcheck import numeric_gradient
 
 RNG = np.random.default_rng(29)  # repro: allow[D001] seeded file-local RNG, shared on purpose
@@ -33,11 +33,10 @@ LENGTH_CASES = [
 
 
 def _pair(layer_cls, input_size, hidden, seed):
-    """Two identically-initialised layers, one per engine."""
-    fast = layer_cls(input_size, hidden, rng=np.random.default_rng(seed),
-                     engine="fast")
-    ref = layer_cls(input_size, hidden, rng=np.random.default_rng(seed),
-                    engine="reference")
+    """Two identically-initialised layers: fused, and reference."""
+    fast = layer_cls(input_size, hidden, rng=np.random.default_rng(seed))
+    ref = _as_reference(
+        layer_cls(input_size, hidden, rng=np.random.default_rng(seed)))
     return fast, ref
 
 
@@ -52,24 +51,6 @@ def _run_and_grads(layer, x, lengths):
 
 
 class TestEngineSelection:
-    def test_resolve_explicit(self):
-        assert resolve_nn_engine("fast") == "fast"
-        assert resolve_nn_engine("reference") == "reference"
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_nn_engine("blas")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NN_ENGINE", raising=False)
-        assert default_nn_engine() == "fast"
-        monkeypatch.setenv("REPRO_NN_ENGINE", "reference")
-        assert default_nn_engine() == "reference"
-        assert resolve_nn_engine(None) == "reference"
-        monkeypatch.setenv("REPRO_NN_ENGINE", "nonsense")
-        with pytest.raises(ValueError):
-            default_nn_engine()
-
     def test_sequence_mask(self):
         mask = sequence_mask(np.array([1, 3, 2]), 3)
         expected = np.array([[1, 0, 0], [1, 1, 1], [1, 1, 0]], dtype=bool)
@@ -95,7 +76,7 @@ class TestLSTMParity:
     def test_numeric_gradcheck(self):
         lengths = [3, 2, 4]
         x = RNG.normal(size=(3, 4, 3)) * 0.5
-        lstm = LSTM(3, 2, rng=np.random.default_rng(7), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(7))
 
         def scalar(arr):
             out, fin = lstm(Tensor(arr), lengths=lengths)
@@ -184,7 +165,7 @@ class TestSpanEncodeParity:
         index_map = _span_index_map(lengths)
         tcodes = RNG.normal(size=(6, 2)) * 0.5
         scodes = RNG.normal(size=(6, 3)) * 0.5
-        lstm = LSTM(5, 3, rng=np.random.default_rng(9), engine="fast")
+        lstm = LSTM(5, 3, rng=np.random.default_rng(9))
 
         def scalar_t(arr):
             h = lstm.encode_spans(Tensor(arr), Tensor(scodes),
@@ -199,8 +180,7 @@ class TestSpanEncodeParity:
             atol=1e-6)
 
     def test_rejects_reference_engine(self):
-        lstm = LSTM(7, 4, rng=np.random.default_rng(11),
-                    engine="reference")
+        lstm = _as_reference(LSTM(7, 4, rng=np.random.default_rng(11)))
         with pytest.raises(RuntimeError):
             lstm.encode_spans(Tensor(RNG.normal(size=(2, 3))),
                               Tensor(RNG.normal(size=(2, 4))),
@@ -213,11 +193,12 @@ class TestMLPConstTail:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_matches_concat(self, engine):
         rng_seed = 404
-        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(rng_seed),
-                          engine=engine)
+        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(rng_seed))
         oracle = TwoLayerMLP(6, 5, 3,
-                             rng=np.random.default_rng(rng_seed),
-                             engine=engine)
+                             rng=np.random.default_rng(rng_seed))
+        if engine == "reference":
+            _as_reference(mlp)
+            _as_reference(oracle)
         x = RNG.normal(size=(8, 4))
         tail = RNG.normal(size=(8, 2))
 
@@ -238,8 +219,7 @@ class TestMLPConstTail:
                                        err_msg=n1)
 
     def test_rejects_bad_widths(self):
-        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(5),
-                          engine="fast")
+        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(5))
         with pytest.raises(ValueError):
             mlp.forward_with_tail(Tensor(RNG.normal(size=(4, 4))),
                                   RNG.normal(size=(4, 3)))
@@ -267,7 +247,7 @@ class TestGRUParity:
     def test_numeric_gradcheck(self):
         lengths = [2, 3, 1]
         x = RNG.normal(size=(3, 3, 3)) * 0.5
-        gru = GRU(3, 2, rng=np.random.default_rng(8), engine="fast")
+        gru = GRU(3, 2, rng=np.random.default_rng(8))
 
         def scalar(arr):
             out, fin = gru(Tensor(arr), lengths=lengths)
@@ -285,9 +265,10 @@ class TestConvParity:
     def test_conv2d_matches_reference(self, stride, padding):
         x = RNG.normal(size=(2, 3, 6, 5))
         fast = Conv2d(3, 4, kernel_size=3, stride=stride, padding=padding,
-                      rng=np.random.default_rng(5), engine="fast")
-        ref = Conv2d(3, 4, kernel_size=3, stride=stride, padding=padding,
-                     rng=np.random.default_rng(5), engine="reference")
+                      rng=np.random.default_rng(5))
+        ref = _as_reference(
+            Conv2d(3, 4, kernel_size=3, stride=stride, padding=padding,
+                   rng=np.random.default_rng(5)))
         for layer in (fast, ref):
             layer.zero_grad()
         xf = Tensor(x.copy(), requires_grad=True)
@@ -304,8 +285,8 @@ class TestConvParity:
 
     def test_batchnorm_training_matches_reference(self):
         x = RNG.normal(size=(4, 3, 5, 2))
-        fast = BatchNorm2d(3, engine="fast")
-        ref = BatchNorm2d(3, engine="reference")
+        fast = BatchNorm2d(3)
+        ref = _as_reference(BatchNorm2d(3))
         xf = Tensor(x.copy(), requires_grad=True)
         xr = Tensor(x.copy(), requires_grad=True)
         (fast(xf) ** 2).sum().backward()
@@ -323,8 +304,8 @@ class TestConvParity:
     def test_batchnorm_eval_mode_shared(self):
         """Eval mode always uses the running-stat path, engine-independent."""
         x = RNG.normal(size=(2, 3, 4, 4))
-        fast = BatchNorm2d(3, engine="fast")
-        ref = BatchNorm2d(3, engine="reference")
+        fast = BatchNorm2d(3)
+        ref = _as_reference(BatchNorm2d(3))
         for bn in (fast, ref):
             bn(Tensor(x))         # populate running stats identically
             bn.eval()
@@ -386,7 +367,7 @@ class TestFusedLosses:
 class TestDtypeDiscipline:
     def test_fast_lstm_keeps_float32(self):
         """A float32 model stays float32 end to end (no silent upcast)."""
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(3))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3)).astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
@@ -395,7 +376,7 @@ class TestDtypeDiscipline:
         assert fin.dtype == lstm.cell.weight.dtype
 
     def test_fast_lstm_rejects_mismatched_input(self):
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(3))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3))          # float64 input
@@ -403,8 +384,7 @@ class TestDtypeDiscipline:
             lstm(Tensor(x), lengths=[2, 3])
 
     def test_reference_lstm_rejects_mismatched_input(self):
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3),
-                    engine="reference")
+        lstm = _as_reference(LSTM(3, 2, rng=np.random.default_rng(3)))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3))

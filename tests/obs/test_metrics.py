@@ -1,14 +1,11 @@
-"""Promoted metrics registry, the global default, and the serving shim."""
+"""Shared metrics registry and the global default."""
 
 import sys
-
-import pytest
 
 from repro.obs import (
     Instrumented, MetricsRegistry, NULL_TRACER, Tracer, global_registry,
     reset_global_registry, traced,
 )
-from repro.obs import metrics as obs_metrics
 
 
 class TestGlobalRegistry:
@@ -29,19 +26,9 @@ class TestGlobalRegistry:
 
 
 class TestDeprecationShim:
-    def test_serving_metrics_import_warns_and_reexports(self):
-        sys.modules.pop("repro.serving.metrics", None)
-        with pytest.warns(DeprecationWarning,
-                          match="repro.obs.metrics"):
-            # repro: allow[H001] this test exercises the shim itself
-            import repro.serving.metrics as shim
-        assert shim.Counter is obs_metrics.Counter
-        assert shim.Histogram is obs_metrics.Histogram
-        assert shim.MetricsRegistry is obs_metrics.MetricsRegistry
-
     def test_serving_package_import_does_not_warn(self):
-        # Only the direct legacy module path is deprecated; importing
-        # the serving package itself must stay quiet.
+        # No deprecated re-export is left: importing the serving
+        # package must stay quiet.
         import warnings
 
         for name in [m for m in sys.modules
@@ -53,11 +40,8 @@ class TestDeprecationShim:
             import repro.serving  # noqa: F401
 
     def test_shim_registry_snapshot_schema_unchanged(self):
-        sys.modules.pop("repro.serving.metrics", None)
-        with pytest.warns(DeprecationWarning):
-            # repro: allow[H001] this test exercises the shim itself
-            from repro.serving.metrics import MetricsRegistry as Shimmed
-        registry = Shimmed()
+        # The snapshot schema the serving metrics endpoint exports.
+        registry = MetricsRegistry()
         registry.counter("queries_total").inc()
         registry.histogram("latency_ms").observe(1.0)
         snap = registry.snapshot()

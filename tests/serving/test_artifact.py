@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build, strip_trajectories
+from repro.experiments import RegistryError, RunRegistry
 from repro.nn import load_state, save_state
 from repro.serving import (
     ArtifactError, load_artifact, save_artifact, validate_artifact,
@@ -106,6 +107,37 @@ class TestValidation:
             json.dump(payload, handle)
         with pytest.raises(ArtifactError, match="unknown fields"):
             load_artifact(directory)
+
+    def test_configs_with_retired_engine_keys_still_load(
+            self, tmp_path, trained_predictor, serving_dataset):
+        # Artifacts and registry runs written while the config carried
+        # the nn/embedding engine selectors still load; any other
+        # unknown key still fails closed in both loaders.
+        config = trained_predictor.model.config
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        registry = RunRegistry(str(tmp_path / "runs"))
+        run = registry.create_run("mini-chengdu", config, 0)
+        paths = [os.path.join(directory, "config.json"),
+                 os.path.join(run.directory, "config.json")]
+
+        def rewrite(**extra):
+            for path in paths:
+                with open(path) as handle:
+                    payload = json.load(handle)
+                payload.update(extra)
+                with open(path, "w") as handle:
+                    json.dump(payload, handle)
+
+        rewrite(nn_engine="reference", embed_engine="vectorized")
+        restored = load_artifact(directory, dataset=serving_dataset)
+        assert restored.model.config == config
+        assert registry.load_config(run.run_id) == config
+
+        rewrite(engine="fast")
+        with pytest.raises(ArtifactError, match="unknown fields"):
+            load_artifact(directory, dataset=serving_dataset)
+        with pytest.raises(RegistryError, match="unknown fields"):
+            registry.load_config(run.run_id)
 
 
 class TestSaveStatePath:

@@ -5,10 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serving import (
-    Counter, Histogram, LRUCache, MetricsRegistry, MicroBatcher,
-    ODMatchCache, SpeedSliceCache,
-)
+from repro.obs.cache import LRUCache
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.serving import MicroBatcher, ODMatchCache, SpeedSliceCache
 
 
 class TestLRUCache:

@@ -78,17 +78,22 @@ class TestCommands:
             main(["compare", "--trips", "60", "--days", "7",
                   "--methods", "SVM"])
 
-    def test_sweep_w_runs(self, capsys):
-        code = main(["sweep-w", "--trips", "60", "--days", "7",
-                     "--epochs", "1", "--weights", "0.3"])
+    def test_sweep_w_runs(self, tmp_path, capsys):
+        # Fig 9's w-sweep is a one-axis exp sweep.
+        code = main(["exp", "sweep", "--trips", "60", "--days", "7",
+                     "--epochs", "1", "--eval-every", "0",
+                     "--grid", "aux_weight=0.3",
+                     "--runs-dir", str(tmp_path / "runs")])
         assert code == 0
         assert "MAPE" in capsys.readouterr().out
 
     def test_sweep_w_parallel_writes_json(self, tmp_path, capsys):
         out_path = str(tmp_path / "sweep.json")
-        code = main(["sweep-w", "--trips", "60", "--days", "7",
-                     "--epochs", "1", "--weights", "0.1", "0.5",
-                     "--jobs", "2", "--out", out_path])
+        code = main(["exp", "sweep", "--trips", "60", "--days", "7",
+                     "--epochs", "1", "--eval-every", "0",
+                     "--grid", "aux_weight=0.1,0.5", "--jobs", "2",
+                     "--runs-dir", str(tmp_path / "runs"),
+                     "--out", out_path])
         assert code == 0
         import json
         with open(out_path) as handle:
@@ -119,6 +124,15 @@ class TestExpCommands:
         with pytest.raises(SystemExit):
             main(["exp", "sweep", "--grid", "no-equals-sign",
                   "--runs-dir", str(tmp_path / "runs")])
+
+    def test_retired_engine_flags_and_sweep_w_are_usage_errors(self):
+        for argv in (["train", "--nn-engine", "fast"],
+                     ["train", "--embed-engine", "vectorized"],
+                     ["embed", "--engine", "vectorized"],
+                     ["sweep-w"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_exp_pipeline_end_to_end(self, tmp_path, capsys):
         """run -> list -> promote against a tiny config, exercising the
