@@ -1,11 +1,13 @@
 """Serving throughput: micro-batched vs one-at-a-time queries.
 
 The paper's Table 5 measures per-query estimation cost; this bench
-measures the serving-layer consequence: DeepOD's prediction path is a
-stack of matrix multiplies whose per-call overhead dominates at batch
-size 1, so coalescing queries through ``repro.serving.MicroBatcher``
-multiplies throughput.  The acceptance bar is >= 3x on 1k queries;
-in practice the gap is much larger.
+measures the serving-layer consequence.  Served estimates run the
+compiled ``InferencePlan`` (plain numpy, no autograd), so a single
+query's model call is a few hundred microseconds; at batch size 1 the
+per-call overhead of the whole query path (matching, feature gathering,
+response building and the model call's fixed cost) still dominates, and
+coalescing queries through ``repro.serving.MicroBatcher`` multiplies
+throughput.  The acceptance bar is >= 3x on 1k queries.
 """
 
 import time

@@ -10,6 +10,7 @@ from .external_encoder import ExternalFeaturesEncoder, TrafficConditionCNN
 from .od_encoder import ODEncoder
 from .model import DeepOD, DeepODLosses, TravelTimeEstimatorHead
 from .trainer import DeepODTrainer, TrainingHistory, build_deepod
+from .inference import InferencePlan
 from .predictor import Estimate, Query, TravelTimePredictor
 from .variants import (
     VARIANT_NAMES, all_ablation_configs, all_embedding_variant_configs,
@@ -24,7 +25,7 @@ __all__ = [
     "ODEncoder",
     "DeepOD", "DeepODLosses", "TravelTimeEstimatorHead",
     "DeepODTrainer", "TrainingHistory", "build_deepod",
-    "Estimate", "Query", "TravelTimePredictor",
+    "InferencePlan", "Estimate", "Query", "TravelTimePredictor",
     "VARIANT_NAMES", "all_ablation_configs",
     "all_embedding_variant_configs", "variant_config",
 ]

@@ -19,6 +19,7 @@ import numpy as np
 from ..datagen.dataset import TaxiDataset
 from ..roadnet.spatial_index import SpatialIndex
 from ..trajectory.model import ODInput, Query
+from .inference import InferencePlan
 from .model import DeepOD
 from .trainer import DeepODTrainer
 
@@ -93,6 +94,12 @@ class Estimate:
 class TravelTimePredictor:
     """Query-facing wrapper around a trained DeepOD model.
 
+    Estimates come from an :class:`~repro.core.inference.InferencePlan`
+    compiled here, so a predictor is a snapshot of the model's weights
+    at construction: training the model further does not change its
+    answers.  Build the predictor after the final weights are in place
+    (or build a new one).
+
     Parameters
     ----------
     trainer:
@@ -115,6 +122,7 @@ class TravelTimePredictor:
         self.trainer = trainer
         self.dataset: TaxiDataset = trainer.dataset
         self.model: DeepOD = trainer.model
+        self.plan = InferencePlan.compile(self.model)
         self.index = SpatialIndex(self.dataset.net)
         self.coverage = coverage
         if quantiles is not None:
@@ -193,11 +201,11 @@ class TravelTimePredictor:
         if not len(ods):
             return []
         mats = speed_matrices
-        if mats is None and self.model.config.use_external_features:
+        if mats is None and self.plan.uses_speed_matrices:
             store = self.dataset.speed_store
             mats = np.stack([store.normalized_matrix_before(od.depart_time)
                              for od in ods])
-        preds = self.model.predict(ods, mats)
+        preds = self.plan.predict(ods, mats)
         return [Estimate(seconds=float(p),
                          lower=float(p * self._lo_q),
                          upper=float(p * self._hi_q),

@@ -121,7 +121,10 @@ class DeepODTrainer(Instrumented):
                                float(max(times.std(), 1e-6)))
 
     # ------------------------------------------------------------------
-    def _speed_matrices(self, trips: Sequence[TripRecord]) -> Optional[np.ndarray]:
+    def speed_matrices(self, trips: Sequence[TripRecord]
+                       ) -> Optional[np.ndarray]:
+        """The trips' normalised speed-matrix slices, stacked (``None``
+        when the model has no external features)."""
         if not self.model.config.use_external_features:
             return None
         store = self.dataset.speed_store
@@ -141,7 +144,7 @@ class DeepODTrainer(Instrumented):
         ods = [t.od for t in batch]
         trajs = [t.trajectory for t in batch]
         times = np.array([t.travel_time for t in batch])
-        mats = self._speed_matrices(batch)
+        mats = self.speed_matrices(batch)
         self.optimizer.zero_grad()
         t0 = time.perf_counter()
         losses = model.training_losses(ods, trajs, times, mats)
@@ -326,7 +329,7 @@ class DeepODTrainer(Instrumented):
         preds = []
         for lo in range(0, len(trips), self.max_eval_batch):
             chunk = trips[lo:lo + self.max_eval_batch]
-            mats = self._speed_matrices(chunk)
+            mats = self.speed_matrices(chunk)
             preds.append(self.model.predict([t.od for t in chunk], mats))
         return np.concatenate(preds)
 

@@ -58,8 +58,8 @@ class SpeedMatrixStore:
         period rather than failing)."""
         if t < 0:
             raise ValueError("time must be non-negative")
-        p = int(t // self.config.period_seconds) - 1
-        return int(np.clip(p, 0, self.periods - 1))
+        return min(max(int(t // self.config.period_seconds) - 1, 0),
+                   self.periods - 1)
 
     def matrix_at(self, period: int) -> np.ndarray:
         """The raw mean-speed matrix of one period index."""
@@ -71,10 +71,14 @@ class SpeedMatrixStore:
         """The speed matrix of the last completed period before time t."""
         return self.matrix_at(self.period_before(t))
 
-    def normalized_matrix_before(self, t: float) -> np.ndarray:
+    def normalized_matrix_at(self, period: int) -> np.ndarray:
         """Matrix scaled to ~[0, 1] by the global mean for stable training."""
         scale = 2.0 * max(self.global_mean_speed, 1e-6)
-        return np.clip(self.matrix_before(t) / scale, 0.0, 2.0)
+        return np.clip(self.matrix_at(period) / scale, 0.0, 2.0)
+
+    def normalized_matrix_before(self, t: float) -> np.ndarray:
+        """:meth:`normalized_matrix_at` the period before time ``t``."""
+        return self.normalized_matrix_at(self.period_before(t))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -330,9 +334,8 @@ class LiveSpeedStore:
         live = self._live.get(int(period))
         return live if live is not None else self.base.matrix_at(period)
 
-    def matrix_before(self, t: float) -> np.ndarray:
-        return self.matrix_at(self.period_before(t))
-
-    def normalized_matrix_before(self, t: float) -> np.ndarray:
-        scale = 2.0 * max(self.global_mean_speed, 1e-6)
-        return np.clip(self.matrix_before(t) / scale, 0.0, 2.0)
+    # Period lookup and normalisation are the base store's, applied to
+    # this overlay's ``matrix_at`` (scale: the base global mean).
+    matrix_before = SpeedMatrixStore.matrix_before
+    normalized_matrix_at = SpeedMatrixStore.normalized_matrix_at
+    normalized_matrix_before = SpeedMatrixStore.normalized_matrix_before

@@ -48,10 +48,7 @@ class SpeedSliceCache:
         return self._store
 
     def period_of(self, t: float) -> int:
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        p = int(t // self._store.config.period_seconds) - 1
-        return int(np.clip(p, 0, self._store.periods - 1))
+        return self._store.period_before(t)
 
     def _key(self, period: int) -> Tuple[int, int, int]:
         return (period, self._generation, self._versions.get(period, 0))
@@ -61,7 +58,7 @@ class SpeedSliceCache:
         with self._lock:
             key = self._key(period)
         return self._lru.get_or_compute(
-            key, lambda: self._store.normalized_matrix_before(t))
+            key, lambda: self._store.normalized_matrix_at(period))
 
     def invalidate(self, periods: Optional[Sequence[int]] = None) -> int:
         """Version-bump cached slices: the named periods, or every
