@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from typing import Dict, Optional
+
+from ..atomic import write_json
 
 CACHE_SCHEMA = "repro.analysis.cache/v1"
 
@@ -89,13 +89,8 @@ class LintCache:
             return False
         payload = {"schema": CACHE_SCHEMA, "key": self.key,
                    "files": self._files}
-        directory = os.path.dirname(os.path.abspath(self.path))
         try:
-            fd, tmp = tempfile.mkstemp(dir=directory,
-                                       prefix=".reprolint-cache.")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path)
+            write_json(self.path, payload)
             return True
         except OSError:
             return False

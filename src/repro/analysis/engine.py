@@ -110,30 +110,31 @@ class LintConfig:
         ("repro.nn", "float64"),
         ("repro.core", "float64"),
     )
-    # The subsystem layering DAG (leaves first).  ``roadnet``/``obs``/
-    # ``analysis`` import no internal package at all; ``serving`` must
-    # never reach up into ``experiments`` or ``streaming``; only the
-    # CLI facade is unconstrained.
+    # The subsystem layering DAG (leaves first).  ``obs``/``analysis``
+    # import only the ``atomic`` leaf; ``serving`` must never reach up
+    # into ``experiments`` or ``streaming``; only the CLI facade is
+    # unconstrained.
     layers: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+        ("atomic", ()),
         ("roadnet", ()),
-        ("obs", ()),
-        ("analysis", ()),
+        ("obs", ("atomic",)),
+        ("analysis", ("atomic",)),
         ("trajectory", ("roadnet",)),
-        ("nn", ("analysis",)),
+        ("nn", ("analysis", "atomic")),
         ("embedding", ("obs", "roadnet")),
         ("temporal", ("embedding", "roadnet")),
         ("mapmatching", ("obs", "roadnet", "trajectory")),
-        ("datagen", ("mapmatching", "obs", "roadnet", "temporal",
-                     "trajectory")),
+        ("datagen", ("atomic", "mapmatching", "nn", "obs", "roadnet",
+                     "temporal", "trajectory")),
         ("core", ("analysis", "datagen", "embedding", "nn", "obs",
                   "roadnet", "temporal", "trajectory")),
         ("baselines", ("core", "datagen", "embedding", "nn", "roadnet",
                        "trajectory")),
-        ("eval", ("baselines", "datagen", "trajectory")),
-        ("serving", ("baselines", "core", "datagen", "obs", "roadnet",
-                     "trajectory")),
+        ("eval", ("atomic", "baselines", "datagen", "trajectory")),
+        ("serving", ("atomic", "baselines", "core", "datagen", "nn", "obs",
+                     "roadnet", "trajectory")),
         ("pathtte", ("datagen", "roadnet", "temporal", "trajectory")),
-        ("experiments", ("core", "datagen", "eval", "nn", "obs",
+        ("experiments", ("atomic", "core", "datagen", "eval", "nn", "obs",
                          "serving")),
         ("streaming", ("core", "datagen", "experiments", "obs",
                        "roadnet", "serving", "trajectory")),

@@ -55,6 +55,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .atomic import write_json
 from .baselines import (
     DeepODEstimator, GBMEstimator, LinearRegressionEstimator,
     MURATEstimator, STNNEstimator, TEMPEstimator,
@@ -64,7 +65,7 @@ from .core import (
 )
 from .datagen import DatasetSpec, PRESETS, build, strip_trajectories
 from .eval import format_table, mape, run_comparison
-from .nn import save_state
+from .nn import save_arrays, save_state
 
 
 def _make_tracer(args):
@@ -88,9 +89,7 @@ def _export_obs(args, tracer, snapshot=None) -> None:
         if snapshot is None:
             from .obs import global_registry
             snapshot = global_registry().snapshot()
-        with open(args.metrics_out, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.metrics_out, snapshot)
         print(f"metrics snapshot written to {args.metrics_out}",
               file=sys.stderr)
 
@@ -209,8 +208,8 @@ def cmd_embed(args) -> int:
     print(f"embedded {matrix.shape[0]} nodes -> dim {matrix.shape[1]} "
           f"with {args.method} in {elapsed:.2f}s")
     if args.out:
-        np.savez(args.out, embedding=matrix)
-        print(f"embedding written to {args.out}")
+        written = save_arrays(args.out, {"embedding": matrix})
+        print(f"embedding written to {written}")
     _export_obs(args, tracer)
     return 0
 
@@ -237,9 +236,12 @@ def cmd_train(args) -> int:
             written = save_state(model, args.save)
             print(f"model weights saved to {written}")
         else:
-            from .serving import save_artifact
+            from .serving import ArtifactError, save_artifact
             predictor = TravelTimePredictor(trainer, coverage=args.coverage)
-            artifact_dir = save_artifact(args.save, predictor)
+            try:
+                artifact_dir = save_artifact(args.save, predictor)
+            except ArtifactError as exc:
+                raise SystemExit(f"cannot save artifact: {exc}")
             print(f"serving artifact saved to {artifact_dir}")
     _export_obs(args, tracer)
     return 0
@@ -343,13 +345,7 @@ def cmd_loadtest(args) -> int:
     if args.out:
         write_bench(args.out, payload)
         print(f"bench written to {args.out}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            json.dump(registry.snapshot(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"metrics snapshot written to {args.metrics_out}",
-              file=sys.stderr)
+    _export_obs(args, None, snapshot=registry.snapshot())
     if args.assert_floor and overlap["speedup"] < overlap["floor"]:
         print(f"FAIL: overlap speedup {overlap['speedup']:.2f}x below "
               f"floor {overlap['floor']:.1f}x", file=sys.stderr)
@@ -448,9 +444,7 @@ def cmd_stream(args) -> int:
         print(f"  rolling MAE: baseline {report['baseline_mae']:.2f}s "
               f"-> final {report['final_rolling_mae']:.2f}s")
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.report, report)
         print(f"report written to {args.report}")
     _export_obs(args, tracer, snapshot=registry.snapshot())
     return 0

@@ -102,17 +102,14 @@ class SpeedMatrixStore:
     # -- persistence ----------------------------------------------------
     def save(self, path: str) -> str:
         """Write the full store (matrices + grid geometry) to one npz."""
-        if not path.endswith(".npz"):
-            path += ".npz"
-        np.savez_compressed(
-            path,
+        from ..nn.serialization import save_arrays
+        return save_arrays(path, dict(
             matrices=self._matrices,
             global_mean_speed=np.array(self.global_mean_speed),
             origin=np.array([self.min_x, self.min_y]),
             grid=np.array([self.rows, self.cols, self.periods]),
             config=np.array([self.config.cell_metres,
-                             self.config.period_seconds]))
-        return path
+                             self.config.period_seconds])))
 
     @classmethod
     def from_arrays(cls, matrices: np.ndarray, min_x: float, min_y: float,

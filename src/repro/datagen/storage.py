@@ -39,6 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..atomic import write_json
 from ..roadnet.graph import RoadNetwork
 from ..temporal.timeslot import TimeSlotConfig
 from ..trajectory.model import (
@@ -200,14 +201,7 @@ class DatasetDirWriter:
             },
             "fingerprint": None,
         }
-        _write_meta(self.directory, meta)
-
-
-def _write_meta(directory: str, meta: Dict[str, object]) -> None:
-    path = os.path.join(directory, META_FILE)
-    with open(path, "w") as handle:
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
+        write_json(os.path.join(self.directory, META_FILE), meta)
 
 
 def read_meta(directory: str) -> Dict[str, object]:
@@ -225,7 +219,7 @@ def stamp_fingerprint(directory: str, fingerprint: str) -> None:
     """Record the dataset fingerprint in ``meta.json`` after assembly."""
     meta = read_meta(directory)
     meta["fingerprint"] = fingerprint
-    _write_meta(directory, meta)
+    write_json(os.path.join(directory, META_FILE), meta)
 
 
 class TripStore(Sequence):

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..atomic import write_json
 from .harness import MethodResult
 
 
@@ -45,8 +46,7 @@ def save_report(results: Dict[str, MethodResult], path: str,
     }
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_json(path, payload)
 
 
 def load_report(path: str) -> dict:

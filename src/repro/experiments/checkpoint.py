@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..atomic import replace_dir, write_json
 from ..nn.serialization import load_arrays, save_arrays
 
 ARRAYS_FILE = "arrays.npz"
@@ -67,20 +68,15 @@ def latest_checkpoint(directory: str) -> Optional[str]:
 def save_checkpoint(trainer, directory: str, keep: int = 3) -> str:
     """Snapshot ``trainer`` into ``directory``; returns the snapshot path.
 
-    The snapshot is assembled in a hidden temp directory and renamed into
-    place, so a crash mid-save can never leave a half-written snapshot
-    that a later resume would trust.
+    The snapshot is assembled by :func:`repro.atomic.replace_dir`, so a
+    crash mid-save can never leave a half-written snapshot that a later
+    resume would trust.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
     state = trainer.state_dict()
-    os.makedirs(directory, exist_ok=True)
     final = os.path.join(directory, _step_dir_name(int(state["step"])))
-    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{state['step']}")
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-    try:
+    with replace_dir(final) as tmp:
         arrays: Dict[str, np.ndarray] = {
             "model::" + name: value
             for name, value in state["model"].items()
@@ -105,16 +101,7 @@ def save_checkpoint(trainer, directory: str, keep: int = 3) -> str:
             "rng": state["rng"],
             "history": state["history"],
         }
-        with open(os.path.join(tmp, META_FILE), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-        if os.path.isdir(final):
-            shutil.rmtree(final)
-        os.replace(tmp, final)
-    finally:
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
+        write_json(os.path.join(tmp, META_FILE), meta)
 
     for stale in list_checkpoints(directory)[:-keep]:
         shutil.rmtree(stale)

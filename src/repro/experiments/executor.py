@@ -23,7 +23,6 @@ Design invariants:
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -31,6 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..atomic import write_json
 from ..core.config import DeepODConfig
 from ..datagen.dataset import TaxiDataset
 from ..datagen.pipeline import DatasetSpec, build
@@ -137,9 +137,7 @@ class SweepResult:
             "num_failed": len(self.failed),
             "results": self.results,
         }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, payload)
         return path
 
 

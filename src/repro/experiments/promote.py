@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..atomic import replace_dir, swap_symlink
 from ..datagen.dataset import TaxiDataset, strip_trajectories
 from ..eval.metrics import mae
 from ..serving.artifact import ArtifactError, load_artifact, read_manifest
@@ -99,26 +100,14 @@ def _version_name(candidate_dir: str) -> str:
 
 def _install(candidate_dir: str, deploy_root: str, version: str) -> str:
     """Copy the candidate into versions/ and atomically swap ``current``."""
-    versions = os.path.join(deploy_root, VERSIONS_DIR)
-    os.makedirs(versions, exist_ok=True)
-    final = os.path.join(versions, version)
-    tmp = os.path.join(versions, f".tmp-{os.getpid()}-{version}")
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    shutil.copytree(candidate_dir, tmp)
-    if os.path.isdir(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
-
     link = os.path.join(deploy_root, CURRENT_LINK)
     if os.path.exists(link) and not os.path.islink(link):
         raise PromotionError(
             f"{link} exists and is not a symlink; refusing to clobber")
-    tmp_link = link + f".tmp-{os.getpid()}"
-    if os.path.lexists(tmp_link):
-        os.remove(tmp_link)
-    os.symlink(os.path.join(VERSIONS_DIR, version), tmp_link)
-    os.replace(tmp_link, link)
+    final = os.path.join(deploy_root, VERSIONS_DIR, version)
+    with replace_dir(final) as tmp:
+        shutil.copytree(candidate_dir, tmp, dirs_exist_ok=True)
+    swap_symlink(link, os.path.join(VERSIONS_DIR, version))
     return final
 
 

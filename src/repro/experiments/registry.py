@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..atomic import write_json
 from ..core.config import DeepODConfig
 
 RUN_FILE = "run.json"
@@ -121,8 +122,8 @@ class Run:
 
     # -- record IO ------------------------------------------------------
     def save_record(self) -> None:
-        _write_json(os.path.join(self.directory, RUN_FILE),
-                    self.record.to_dict())
+        write_json(os.path.join(self.directory, RUN_FILE),
+                   self.record.to_dict())
 
     def append_metric(self, step: int, val_mae: float, lr: float,
                       **extra) -> None:
@@ -146,19 +147,13 @@ class Run:
         return rows
 
     def write_report(self, report: Dict) -> None:
-        _write_json(os.path.join(self.directory, REPORT_FILE), report)
+        write_json(os.path.join(self.directory, REPORT_FILE), report)
 
     def write_trace(self, trace: Dict) -> None:
         """Persist a span-tree trace (``repro.obs`` schema) next to the
         JSONL metrics, so a run's stage-level timing is queryable with
         the rest of its record."""
-        _write_json(self.trace_path, trace)
-
-    def read_trace(self) -> Optional[Dict]:
-        if not os.path.exists(self.trace_path):
-            return None
-        with open(self.trace_path) as handle:
-            return json.load(handle)
+        write_json(self.trace_path, trace)
 
     def read_report(self) -> Optional[Dict]:
         path = os.path.join(self.directory, REPORT_FILE)
@@ -208,8 +203,8 @@ class RunRegistry:
             dataset_params=dict(dataset_params or {}),
             started_unix=time.time())
         run = Run(directory, record)
-        _write_json(os.path.join(directory, CONFIG_FILE),
-                    dataclasses.asdict(config))
+        write_json(os.path.join(directory, CONFIG_FILE),
+                   dataclasses.asdict(config))
         run.save_record()
         return run
 
@@ -262,11 +257,3 @@ class RunRegistry:
             return DeepODConfig.from_dict(payload)
         except (TypeError, ValueError) as exc:
             raise RegistryError(f"invalid run config: {exc}")
-
-
-def _write_json(path: str, payload: Dict) -> None:
-    tmp = path + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)

@@ -14,28 +14,23 @@ from typing import Dict
 
 import numpy as np
 
+from ..atomic import atomic_file
 from .modules import Module
 
 
 def save_state(module: Module, path: str) -> str:
     """Serialise ``module.state_dict()`` into a compressed ``.npz`` file.
 
-    Returns the path actually written: ``np.savez_compressed`` silently
-    appends ``.npz`` when the given path lacks the suffix, so callers that
-    echo the filename must use the return value, not their argument.
+    Returns the path actually written: ``.npz`` is appended when the
+    given path lacks the suffix, so callers that echo the filename must
+    use the return value, not their argument.
     """
-    state = module.state_dict()
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    np.savez_compressed(path, **state)
-    return path if path.endswith(".npz") else path + ".npz"
+    return save_arrays(path, module.state_dict())
 
 
 def load_state(module: Module, path: str) -> None:
     """Restore a module from :func:`save_state` output."""
-    with np.load(path if path.endswith(".npz") else path + ".npz") as data:
-        state: Dict[str, np.ndarray] = {key: data[key] for key in data.files}
-    module.load_state_dict(state)
+    module.load_state_dict(load_arrays(path))
 
 
 def save_arrays(path: str, arrays: Dict[str, np.ndarray]) -> str:
@@ -43,21 +38,15 @@ def save_arrays(path: str, arrays: Dict[str, np.ndarray]) -> str:
 
     Unlike :func:`save_state` this is not tied to a Module — training
     checkpoints use it to store optimiser moments and shuffle state next
-    to the model weights.  The write is atomic (temp file + rename) so a
+    to the model weights.  The write is atomic (:mod:`repro.atomic`) so a
     crash mid-save never leaves a truncated archive behind.
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_file(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
     return path
 
 

@@ -35,6 +35,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from ..atomic import write_json
+
 TRACE_SCHEMA = "repro.obs.trace/v1"
 
 
@@ -221,9 +223,7 @@ class Tracer:
 
     def export(self, path: str) -> str:
         """Write the trace JSON to ``path``; returns the path."""
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        write_json(path, self.to_dict())
         return path
 
     def reset(self) -> None:

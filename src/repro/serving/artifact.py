@@ -33,13 +33,13 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
+from ..atomic import replace_dir, write_json
 from ..core.config import DeepODConfig
 from ..core.predictor import TravelTimePredictor
 from ..core.trainer import DeepODTrainer, build_deepod
 from ..datagen.dataset import BuildInfo, TaxiDataset, dataset_fingerprint
 from ..datagen.pipeline import DatasetSpec, build
+from ..nn.serialization import load_arrays, save_arrays
 
 SCHEMA_VERSION = 1
 
@@ -59,12 +59,6 @@ def _sha256_file(path: str) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path: str, payload: Dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _read_json(path: str) -> Dict:
@@ -87,41 +81,48 @@ def save_artifact(directory: str, predictor: TravelTimePredictor,
     artifacts with the run id and config hash that produced them, so a
     deployed model is always traceable back to its registry entry.
 
+    Written as one :func:`repro.atomic.replace_dir` snapshot; refuses
+    (:class:`ArtifactError`) a non-empty directory with no manifest.
+
     Returns the artifact directory path.
     """
-    os.makedirs(directory, exist_ok=True)
+    if (os.path.isdir(directory) and os.listdir(directory)
+            and not os.path.exists(os.path.join(directory, MANIFEST_FILE))):
+        raise ArtifactError(
+            f"{directory} is not an artifact; refusing to clobber")
     model = predictor.model
     dataset = predictor.dataset
 
-    config_payload = dataclasses.asdict(model.config)
-    _write_json(os.path.join(directory, CONFIG_FILE), config_payload)
+    with replace_dir(directory) as tmp:
+        config_payload = dataclasses.asdict(model.config)
+        write_json(os.path.join(tmp, CONFIG_FILE), config_payload)
 
-    weights_path = os.path.join(directory, WEIGHTS_FILE)
-    np.savez_compressed(weights_path, **model.state_dict())
+        weights_path = save_arrays(os.path.join(tmp, WEIGHTS_FILE),
+                                   model.state_dict())
 
-    lo, hi = predictor.quantiles
-    _write_json(os.path.join(directory, CALIBRATION_FILE), {
-        "coverage": predictor.coverage,
-        "lo_quantile": lo,
-        "hi_quantile": hi,
-    })
+        lo, hi = predictor.quantiles
+        write_json(os.path.join(tmp, CALIBRATION_FILE), {
+            "coverage": predictor.coverage,
+            "lo_quantile": lo,
+            "hi_quantile": hi,
+        })
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "model": "DeepOD",
-        "weights_sha256": _sha256_file(weights_path),
-        "model_size_bytes": model.size_bytes(),
-        "num_parameters": model.num_parameters(),
-        "dataset": {
-            "name": dataset.name,
-            "fingerprint": dataset_fingerprint(dataset),
-            "build_params": dataset.build_params.to_dict()
-            if dataset.build_params is not None else None,
-        },
-    }
-    if extra_manifest:
-        manifest["provenance"] = dict(extra_manifest)
-    _write_json(os.path.join(directory, MANIFEST_FILE), manifest)
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "model": "DeepOD",
+            "weights_sha256": _sha256_file(weights_path),
+            "model_size_bytes": model.size_bytes(),
+            "num_parameters": model.num_parameters(),
+            "dataset": {
+                "name": dataset.name,
+                "fingerprint": dataset_fingerprint(dataset),
+                "build_params": dataset.build_params.to_dict()
+                if dataset.build_params is not None else None,
+            },
+        }
+        if extra_manifest:
+            manifest["provenance"] = dict(extra_manifest)
+        write_json(os.path.join(tmp, MANIFEST_FILE), manifest)
     return directory
 
 
@@ -217,11 +218,9 @@ def load_artifact(directory: str,
     model.config = config
     trainer = DeepODTrainer(model, dataset, eval_every=0)
 
-    weights_path = os.path.join(directory, WEIGHTS_FILE)
     try:
-        with np.load(weights_path) as data:
-            state = {key: data[key] for key in data.files}
-        model.load_state_dict(state)
+        model.load_state_dict(
+            load_arrays(os.path.join(directory, WEIGHTS_FILE)))
     except (OSError, KeyError, ValueError) as exc:
         raise ArtifactError(f"cannot restore weights: {exc}")
 

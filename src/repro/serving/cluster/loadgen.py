@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ...atomic import write_json
 from ...obs.metrics import MetricsRegistry
 from ...trajectory.model import Query
 from ..artifact import load_artifact
@@ -297,9 +298,7 @@ def validate_bench_serving(payload: Dict) -> Dict:
 def write_bench(path: str, payload: Dict) -> str:
     """Validate and write a bench document; returns the path."""
     validate_bench_serving(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
     return path
 
 

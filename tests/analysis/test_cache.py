@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis import (
     CACHE_SCHEMA,
     LintCache,
@@ -107,6 +109,26 @@ class TestLintCache:
         assert payload["key"] == "k1"
         # No mkstemp droppings left behind.
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    @pytest.mark.parametrize("failure", ["oserror", "non-json outcome"])
+    def test_failed_save_keeps_previous_and_leaves_no_temp(
+            self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "cache.json"
+        cache = LintCache(str(path))
+        cache.load("k1")
+        assert cache.save()
+        before = path.read_text()
+        if failure == "oserror":
+            def full_disk(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(json, "dump", full_disk)
+            assert cache.save() is False
+        else:
+            cache.put("a.py", "s", {"findings": object()})
+            with pytest.raises(TypeError):
+                cache.save()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        assert path.read_text() == before
 
     def test_save_unwritable_location_returns_false(self, tmp_path):
         cache = LintCache(str(tmp_path / "no" / "such" / "dir" / "c.json"))

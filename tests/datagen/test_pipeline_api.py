@@ -14,7 +14,9 @@ from repro.datagen import (
     split_indices, validate_bench_datagen,
 )
 from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
-from repro.datagen.storage import DatasetDirWriter, open_dataset_dir, read_meta
+from repro.datagen.storage import (
+    DatasetDirWriter, open_dataset_dir, read_meta, stamp_fingerprint,
+)
 
 CITY = "mini-chengdu"
 TRIPS = 90
@@ -128,6 +130,18 @@ class TestChunkedParity:
         assert dataset_fingerprint(reopened) == dataset_fingerprint(oneshot)
         assert read_meta(out)["fingerprint"] == dataset_fingerprint(oneshot)
         assert reopened.build_params.storage == "disk"
+
+    def test_failed_stamp_keeps_meta_readable(self, oneshot, tmp_path):
+        out = str(tmp_path / "ds")
+        build(DatasetSpec(CITY, num_trips=TRIPS, num_days=DAYS,
+                          chunk_size=32, storage="disk",
+                          out_dir=out)).close()
+        before = read_meta(out)
+        with pytest.raises(TypeError):
+            stamp_fingerprint(out, object())
+        assert read_meta(out) == before
+        with TaxiDataset.open(out) as reopened:
+            assert dataset_fingerprint(reopened) == before["fingerprint"]
 
     def test_disk_build_reuses_its_processes(self, oneshot, tmp_path,
                                              monkeypatch):

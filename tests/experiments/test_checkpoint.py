@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.atomic import TMP_PREFIX
 from repro.core import DeepODTrainer, build_deepod
 from repro.experiments import (
     CheckpointError, latest_checkpoint, list_checkpoints, load_checkpoint,
@@ -134,7 +135,7 @@ class TestCheckpointHousekeeping:
         assert snapshots[-1].endswith(f"step-{trainer._step:010d}")
         # No temp residue from the atomic-rename protocol.
         assert not [n for n in os.listdir(tmp_path)
-                    if n.startswith(".tmp")]
+                    if n.startswith(TMP_PREFIX)]
 
     def test_checkpoint_every_requires_dir(self, tiny_dataset,
                                            tiny_config):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.atomic import TMP_PREFIX
 from repro.experiments import (
     RunRegistry, RunSpec, deployed_artifact_path, execute_run, heldout_mae,
     promote,
@@ -45,7 +46,7 @@ class TestPromotionFlow:
         # No temp residue from the atomic install.
         leftovers = [n for n in os.listdir(os.path.join(deploy,
                                                         "versions"))
-                     if n.startswith(".tmp")]
+                     if n.startswith(TMP_PREFIX)]
         assert not leftovers
         # The deployed copy serves.
         predictor = load_artifact(current, dataset=two_runs["dataset"])

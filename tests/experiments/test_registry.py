@@ -61,6 +61,17 @@ class TestRecords:
         assert failed.status == "failed"
         assert failed.error == "boom"
 
+    def test_failed_write_keeps_previous_and_leaves_no_temp(
+            self, tiny_config, tmp_path):
+        registry = RunRegistry(str(tmp_path))
+        run = registry.create_run("mini-chengdu", tiny_config, 0)
+        run.write_report({"test_mae": 3.0})
+        before = sorted(os.listdir(run.directory))
+        with pytest.raises(TypeError):
+            run.write_report({"test_mae": object()})
+        assert sorted(os.listdir(run.directory)) == before
+        assert run.read_report() == {"test_mae": 3.0}
+
     def test_unknown_run_raises(self, tmp_path):
         with pytest.raises(RegistryError):
             RunRegistry(str(tmp_path)).get("nope")

@@ -140,6 +140,27 @@ class TestValidation:
             registry.load_config(run.run_id)
 
 
+class TestSaveTarget:
+    def test_replaces_an_existing_artifact(self, tmp_path,
+                                           trained_predictor):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor,
+                                  extra_manifest={"run_id": "old"})
+        save_artifact(directory, trained_predictor,
+                      extra_manifest={"run_id": "new"})
+        manifest = validate_artifact(directory)
+        assert manifest["provenance"] == {"run_id": "new"}
+
+    def test_refuses_to_replace_a_non_artifact_directory(
+            self, tmp_path, trained_predictor):
+        target = tmp_path / "notes"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine")
+        with pytest.raises(ArtifactError, match="not an artifact"):
+            save_artifact(str(target), trained_predictor)
+        assert os.listdir(target) == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "mine"
+
+
 class TestSaveStatePath:
     def test_returns_real_path_when_suffix_missing(self, tmp_path,
                                                    trained_trainer):

@@ -55,6 +55,16 @@ class TestCommands:
         import os
         assert os.path.exists(path)
 
+    def test_train_save_refuses_a_non_artifact_dir(self, tmp_path):
+        target = tmp_path / "notes"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--trips", "60", "--days", "7", "--epochs", "1",
+                  "--save", str(target), "--eval-every", "0"])
+        assert "not an artifact" in str(exc.value.code)
+        assert (target / "keep.txt").read_text() == "mine"
+
     def test_compare_runs(self, capsys):
         code = main(["compare", "--trips", "60", "--days", "7",
                      "--epochs", "1", "--methods", "LR", "TEMP"])
