@@ -145,7 +145,10 @@ def cmd_datagen(args) -> int:
         matcher_jobs=args.jobs, storage=args.storage,
         out_dir=args.out or None, rematch=args.rematch)
     start = time.perf_counter()
-    dataset = build(spec, tracer=tracer)
+    try:
+        dataset = build(spec, tracer=tracer)
+    except FileExistsError as exc:
+        raise SystemExit(f"cannot build dataset: {exc}")
     elapsed = time.perf_counter() - start
     trips_n = len(dataset.trips)
     print(f"built {dataset.name}: {trips_n} trips "
@@ -261,13 +264,11 @@ def cmd_serve(args) -> int:
                 args.artifact, tracer=tracer,
                 config=ClusterConfig(
                     num_workers=args.workers, routing=args.routing,
-                    max_batch=args.max_batch,
-                    max_wait_s=args.max_wait_ms / 1000.0))
+                    max_batch=args.max_batch))
         except ArtifactError as exc:
             raise SystemExit(f"invalid artifact: {exc}")
     else:
-        service_config = ServiceConfig(max_batch=args.max_batch,
-                                       max_wait_s=args.max_wait_ms / 1000.0)
+        service_config = ServiceConfig(max_batch=args.max_batch)
         try:
             predictor = load_artifact(args.artifact)
             service = TravelTimeService(predictor, config=service_config,
@@ -325,8 +326,7 @@ def cmd_loadtest(args) -> int:
             args.artifact, workers=args.workers, queries=args.queries,
             rps=args.rps, seed=args.seed, stall_ms=args.stall_ms,
             floor=args.floor, max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0, routing=args.routing,
-            metrics=registry)
+            routing=args.routing, metrics=registry)
     except ArtifactError as exc:
         raise SystemExit(f"invalid artifact: {exc}")
     overlap, model = payload["overlap"], payload["model"]
@@ -797,9 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.add_argument("--max-batch", type=int, default=128,
                          dest="max_batch")
-    p_serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                         dest="max_wait_ms",
-                         help="micro-batcher latency bound")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="worker processes; >1 serves from the "
                               "sharded ServingCluster (hot model swap, "
@@ -843,8 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="exit 1 if overlap speedup < --floor")
     p_loadtest.add_argument("--max-batch", type=int, default=16,
                             dest="max_batch")
-    p_loadtest.add_argument("--max-wait-ms", type=float, default=2.0,
-                            dest="max_wait_ms")
     p_loadtest.add_argument("--routing", default="region",
                             choices=["region", "round_robin"])
     p_loadtest.add_argument("--out", default="",

@@ -24,11 +24,13 @@ build.  That invariant is what lets the ``mega-*`` presets stream
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
 
+from ..atomic import replace_dir
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..temporal.timeslot import SECONDS_PER_DAY, TimeSlotConfig
 from ..trajectory.model import TripRecord
@@ -215,36 +217,46 @@ def _build_disk(preset, spec, tracer, net, weather, traffic, matcher,
                 chunks, trips_n, horizon, grid, info) -> TaxiDataset:
     from . import storage
 
-    writer = storage.DatasetDirWriter(spec.out_dir)
-    try:
-        with tracer.span("datagen.trips", requested=trips_n):
-            for chunk_trips in chunks:
-                if matcher is not None:
-                    chunk_trips = _rematch_chunk(matcher, chunk_trips,
-                                                 spec.matcher_jobs, tracer)
-                writer.write_chunk(chunk_trips)
-    finally:
-        # A failed build must not leak the six open column streams
-        # (file.close() is idempotent, so the happy path is unchanged).
-        writer.close_streams()
-    n = writer.num_trips
-    with tracer.span("datagen.split"):
-        # Stable argsort == the stable list.sort of the RAM path, so
-        # logical (sorted) order and split boundaries agree exactly.
-        order = np.argsort(writer.depart_times, kind="stable")
-        train_end, val_end = split_indices(n)
-    with tracer.span("datagen.speed_matrix"):
-        accumulator = SpeedMatrixAccumulator(net, horizon, grid)
-        for edge_ids, intervals in writer.iter_paths(order):
-            accumulator.add(edge_ids, intervals)
-        speed_store = accumulator.finalize()
-    writer.finish(order=order, preset=preset, info=info,
-                  horizon_seconds=horizon, train_end=train_end,
-                  val_end=val_end, speed_store=speed_store)
-    dataset = storage.open_dataset_dir(spec.out_dir, net=net,
-                                       weather=weather, traffic=traffic)
-    storage.stamp_fingerprint(spec.out_dir, dataset_fingerprint(dataset))
-    return dataset
+    out_dir = spec.out_dir
+    meta = os.path.join(out_dir, storage.META_FILE)
+    if os.path.isdir(out_dir) and os.listdir(out_dir) \
+            and not os.path.exists(meta):
+        raise FileExistsError(
+            f"{out_dir} is not a dataset directory; refusing to clobber")
+    # Build into a hidden sibling and publish it whole once stamped: a
+    # rebuild that dies leaves the previous dataset as it was.
+    with replace_dir(out_dir) as tmp:
+        writer = storage.DatasetDirWriter(tmp)
+        try:
+            with tracer.span("datagen.trips", requested=trips_n):
+                for chunk_trips in chunks:
+                    if matcher is not None:
+                        chunk_trips = _rematch_chunk(
+                            matcher, chunk_trips, spec.matcher_jobs, tracer)
+                    writer.write_chunk(chunk_trips)
+        finally:
+            # A failed build must not leak the six open column streams
+            # (file.close() is idempotent, so the happy path is unchanged).
+            writer.close_streams()
+        n = writer.num_trips
+        with tracer.span("datagen.split"):
+            # Stable argsort == the stable list.sort of the RAM path, so
+            # logical (sorted) order and split boundaries agree exactly.
+            order = np.argsort(writer.depart_times, kind="stable")
+            train_end, val_end = split_indices(n)
+        with tracer.span("datagen.speed_matrix"):
+            accumulator = SpeedMatrixAccumulator(net, horizon, grid)
+            for edge_ids, intervals in writer.iter_paths(order):
+                accumulator.add(edge_ids, intervals)
+            speed_store = accumulator.finalize()
+        writer.finish(order=order, preset=preset, info=info,
+                      horizon_seconds=horizon, train_end=train_end,
+                      val_end=val_end, speed_store=speed_store)
+        with storage.open_dataset_dir(tmp, net=net, weather=weather,
+                                      traffic=traffic) as built:
+            storage.stamp_fingerprint(tmp, dataset_fingerprint(built))
+    return storage.open_dataset_dir(out_dir, net=net, weather=weather,
+                                    traffic=traffic)
 
 
 # ----------------------------------------------------------------------

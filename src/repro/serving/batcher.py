@@ -4,25 +4,27 @@ DeepOD's prediction path (M_O + M_E, the paper's Table 5 "estimation
 time") is a stack of matrix multiplies whose fixed per-call overhead
 dwarfs the marginal cost of one extra row — a batch of 256 queries costs
 barely more than a batch of 1.  The micro-batcher exploits that: callers
-submit one query at a time and receive a future; a worker drains the
-queue whenever ``max_batch`` queries are waiting or the oldest has
-waited ``max_wait_s``, runs one vectorised call, and resolves all the
-futures.  This is the standard latency/throughput knob of model servers
-(clipper-style adaptive batching, simplified).
+submit one query at a time and receive a future; a worker runs one
+vectorised call per batch and resolves all its futures.
+
+The policy is work-conserving: the worker never idles while a query is
+queued.  When it is free it takes whatever is waiting (up to
+``max_batch``) and runs it at once; queries that arrive while a batch
+computes form the next one.  So batches grow only with load — a burst
+fills ``max_batch``, and a lone query is answered in a batch of one
+without waiting for company.  There is no batching window to tune.
 
 The class is usable two ways:
 
 * **threaded** — ``start()`` spawns a worker; ``submit()`` is then safe
   from any number of request threads (the HTTP front-end uses this);
 * **manually driven** — without ``start()``, the owner calls ``flush()``
-  or ``maybe_flush(now)``; tests drive timeout behaviour with a fake
-  clock this way.
+  or ``drain()``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -38,31 +40,21 @@ class MicroBatcher:
         future of that batch (callers fail individually, the worker
         survives).
     max_batch:
-        Flush as soon as this many items are queued.
-    max_wait_s:
-        Flush when the oldest queued item has waited this long, even if
-        the batch is not full (the latency bound).
-    clock:
-        Monotonic time source; injectable for deterministic tests.
+        The most items one handler call receives.
     on_batch:
         Optional callback ``on_batch(batch_size)`` fired after every
         flush — the service uses it to feed the batch-size histogram.
     """
 
     def __init__(self, handler: Callable[[List[object]], Sequence[object]],
-                 max_batch: int = 64, max_wait_s: float = 0.005,
-                 clock: Callable[[], float] = time.monotonic,
+                 max_batch: int = 64,
                  on_batch: Optional[Callable[[int], None]] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         self.handler = handler
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        self.clock = clock
         self.on_batch = on_batch
-        self._queue: List[Tuple[object, Future, float]] = []
+        self._queue: List[Tuple[object, Future]] = []
         self._cond = threading.Condition()
         self._worker: Optional[threading.Thread] = None
         self._running = False
@@ -72,7 +64,7 @@ class MicroBatcher:
         """Queue one item; the returned future resolves after a flush."""
         future: Future = Future()
         with self._cond:
-            self._queue.append((item, future, self.clock()))
+            self._queue.append((item, future))
             self._cond.notify()
         return future
 
@@ -82,15 +74,15 @@ class MicroBatcher:
             return len(self._queue)
 
     # -- flushing --------------------------------------------------------
-    def _take_batch_locked(self) -> List[Tuple[object, Future, float]]:
+    def _take_batch_locked(self) -> List[Tuple[object, Future]]:
         batch = self._queue[:self.max_batch]
         del self._queue[:self.max_batch]
         return batch
 
-    def _run_batch(self, batch: List[Tuple[object, Future, float]]) -> None:
+    def _run_batch(self, batch: List[Tuple[object, Future]]) -> None:
         if not batch:
             return
-        items = [item for item, _, _ in batch]
+        items = [item for item, _ in batch]
         try:
             results = self.handler(items)
             if len(results) != len(items):
@@ -98,36 +90,18 @@ class MicroBatcher:
                     f"handler returned {len(results)} results for "
                     f"{len(items)} items")
         except Exception as exc:
-            for _, future, _ in batch:
+            for _, future in batch:
                 future.set_exception(exc)
             return
         finally:
             if self.on_batch is not None:
                 self.on_batch(len(items))
-        for (_, future, _), result in zip(batch, results):
+        for (_, future), result in zip(batch, results):
             future.set_result(result)
 
     def flush(self) -> int:
         """Run one batch now (up to ``max_batch`` items); returns its size."""
         with self._cond:
-            batch = self._take_batch_locked()
-        self._run_batch(batch)
-        return len(batch)
-
-    def maybe_flush(self, now: Optional[float] = None) -> int:
-        """Flush only if a trigger condition holds; returns items flushed.
-
-        Triggers: queue reached ``max_batch``, or the oldest queued item
-        has waited at least ``max_wait_s`` as of ``now``.
-        """
-        now = self.clock() if now is None else now
-        with self._cond:
-            if not self._queue:
-                return 0
-            full = len(self._queue) >= self.max_batch
-            expired = now - self._queue[0][2] >= self.max_wait_s
-            if not (full or expired):
-                return 0
             batch = self._take_batch_locked()
         self._run_batch(batch)
         return len(batch)
@@ -172,14 +146,5 @@ class MicroBatcher:
                     self._cond.wait()
                 if not self._running and not self._queue:
                     return
-                # Wait out the batching window unless the batch is full.
-                while self._running and len(self._queue) < self.max_batch:
-                    oldest = self._queue[0][2]
-                    remaining = self.max_wait_s - (self.clock() - oldest)
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                    if not self._queue:
-                        break
                 batch = self._take_batch_locked()
             self._run_batch(batch)

@@ -68,7 +68,6 @@ class ClusterConfig:
     routing: str = "region"
     cell_metres: float = 500.0
     max_batch: int = 64
-    max_wait_s: float = 0.002
     max_pending: int = 2048
     saturation_fallback: bool = False
     dispatch_timeout_s: float = 30.0
@@ -179,7 +178,6 @@ class ServingCluster(Instrumented):
             handle.batcher = MicroBatcher(
                 self._make_dispatcher(handle.shard_id),
                 max_batch=self.config.max_batch,
-                max_wait_s=self.config.max_wait_s,
                 on_batch=lambda n: self.metrics.histogram(
                     "cluster.batch_size").observe(n))
             handle.batcher.start()
@@ -410,8 +408,7 @@ class ServingCluster(Instrumented):
                 return future
             raise SaturatedError(
                 f"shard {handle.shard_id} queue full "
-                f"({limit} queries pending)",
-                retry_after_s=self.config.max_wait_s * 2)
+                f"({limit} queries pending)")
         self.metrics.counter("cluster.queries_total").inc()
         enqueued = time.perf_counter()
         future = handle.batcher.submit(query)

@@ -33,7 +33,7 @@ import numpy as np
 from ...atomic import write_json
 from ...obs.metrics import MetricsRegistry
 from ...trajectory.model import Query
-from ..artifact import load_artifact
+from ..artifact import load_artifact, read_manifest
 from ..errors import SaturatedError
 
 BENCH_SCHEMA = "repro.bench.serving/v1"
@@ -161,8 +161,7 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
 def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
                   queries: int = 256, rps: float = 100.0, seed: int = 0,
                   stall_ms: float = 50.0, floor: float = 2.0,
-                  max_batch: int = 16, max_wait_s: float = 0.002,
-                  routing: str = "region",
+                  max_batch: int = 16, routing: str = "region",
                   metrics: Optional[MetricsRegistry] = None) -> Dict:
     """The full serving load test; returns a validated bench payload.
 
@@ -194,7 +193,6 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
     def stalled_config(num_workers: int) -> "ClusterConfig":
         return ClusterConfig(num_workers=num_workers,
                              routing="round_robin", max_batch=max_batch,
-                             max_wait_s=max_wait_s,
                              batch_stall_s=stall_ms / 1000.0)
 
     overlap = {"workers": workers, "stall_ms": stall_ms, "floor": floor,
@@ -215,7 +213,7 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
     cluster = ServingCluster(
         artifact_path, dataset=dataset,
         config=ClusterConfig(num_workers=workers, routing=routing,
-                             max_batch=max_batch, max_wait_s=max_wait_s))
+                             max_batch=max_batch))
     cluster.start()
     try:
         scaled = measure_saturation(cluster, stream)
@@ -231,10 +229,11 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
 
     return build_bench_payload(
         overlap, model, open_loop,
-        config={"artifact": os.path.realpath(artifact_path),
+        config={"dataset_fingerprint":
+                    read_manifest(artifact_path)["dataset"]["fingerprint"],
                 "queries": queries, "seed": seed, "rps": rps,
                 "workers": workers, "max_batch": max_batch,
-                "max_wait_s": max_wait_s, "routing": routing})
+                "routing": routing})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ class ServiceConfig:
     """
 
     max_batch: int = 128
-    max_wait_s: float = 0.005
     max_pending: int = 0
     od_cache_size: int = 4096
     slice_cache_size: int = 64
@@ -62,8 +61,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         if self.max_pending < 0:
             raise ValueError("max_pending must be >= 0")
 
@@ -173,7 +170,6 @@ class TravelTimeService(Instrumented):
         self.batcher = MicroBatcher(
             self._answer_batch,
             max_batch=self.config.max_batch,
-            max_wait_s=self.config.max_wait_s,
             on_batch=lambda n: self.metrics.histogram("batch_size")
                                    .observe(n))
 
@@ -301,8 +297,7 @@ class TravelTimeService(Instrumented):
         if limit and self.batcher.pending >= limit:
             self.metrics.counter("saturated_rejections").inc()
             raise SaturatedError(
-                f"serving queue full ({limit} queries pending)",
-                retry_after_s=self.config.max_wait_s * 2)
+                f"serving queue full ({limit} queries pending)")
         enqueued = time.perf_counter()
         future = self.batcher.submit(Query.coerce(query))
         future.add_done_callback(

@@ -6,6 +6,8 @@ one-shot in-memory build, and the on-disk dataset directory round-trips
 through ``TaxiDataset.open`` without changing the fingerprint.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,59 @@ class TestChunkedParity:
             config=TripConfig(min_trip_edges=10_000))
         with pytest.raises(RuntimeError, match="could only generate"):
             list(gen.generate_chunks(5, chunk_size=2))
+
+
+class TestRebuild:
+    """A disk build publishes its directory whole: a rebuild over an
+    existing dataset replaces it only once the new one is stamped."""
+
+    def _spec(self, out, trips=TRIPS):
+        return DatasetSpec(CITY, num_trips=trips, num_days=DAYS,
+                           chunk_size=32, storage="disk", out_dir=out)
+
+    def test_rebuild_replaces_and_reads_from_out_dir(self, tmp_path):
+        out = str(tmp_path / "ds")
+        build(self._spec(out)).close()
+        with build(self._spec(out, trips=TRIPS - 30)) as rebuilt:
+            assert len(rebuilt.trips) == TRIPS - 30
+            assert rebuilt.trips.directory == out
+            assert (dataset_fingerprint(rebuilt)
+                    == read_meta(out)["fingerprint"])
+        assert os.listdir(tmp_path) == ["ds"]
+
+    def test_build_dying_mid_chunk_keeps_previous_dataset(self, tmp_path,
+                                                          monkeypatch):
+        out = str(tmp_path / "ds")
+        build(self._spec(out)).close()
+        before = read_meta(out)["fingerprint"]
+        write_chunk = DatasetDirWriter.write_chunk
+        written = []
+
+        def dying(writer, trips):
+            if written:
+                raise RuntimeError("build killed mid-chunk")
+            written.append(len(trips))
+            write_chunk(writer, trips)
+
+        monkeypatch.setattr(DatasetDirWriter, "write_chunk", dying)
+        with pytest.raises(RuntimeError, match="mid-chunk"):
+            build(self._spec(out, trips=TRIPS - 30))
+        monkeypatch.undo()
+        assert written and os.listdir(tmp_path) == ["ds"]
+        assert read_meta(out)["fingerprint"] == before
+        with TaxiDataset.open(out) as reopened:
+            assert len(reopened.trips) == TRIPS
+            assert dataset_fingerprint(reopened) == before
+
+    def test_refuses_non_dataset_dir(self, tmp_path):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        with pytest.raises(FileExistsError, match="refusing to clobber"):
+            build(self._spec(str(out)))
+        assert os.listdir(out) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "mine"
+        assert os.listdir(tmp_path) == ["notes"]
 
 
 class TestSplitIndices:

@@ -57,7 +57,7 @@ class TestBatching:
         """The tentpole's cross-connection batching: queries submitted
         from many threads reach the worker as multi-query batches."""
         cluster = cluster_factory(num_workers=1, max_batch=16,
-                                  max_wait_s=0.05, batch_stall_s=0.02)
+                                  batch_stall_s=0.02)
         queries = synthetic_queries(serving_dataset, 32, seed=7)
         results = [None] * len(queries)
 

@@ -30,8 +30,7 @@ class TestSaturation:
         # One slow worker (200ms/batch), a 2-deep admission queue:
         # rapid-fire submits must overflow it.
         cluster = cluster_factory(num_workers=1, max_pending=2,
-                                  max_batch=4, max_wait_s=0.01,
-                                  batch_stall_s=0.2)
+                                  max_batch=4, batch_stall_s=0.2)
         queries = synthetic_queries(serving_dataset, 24, seed=11)
         futures, errors = [], []
         for query in queries:
@@ -51,8 +50,7 @@ class TestSaturation:
     def test_saturation_fallback_degrades_instead(self, cluster_factory,
                                                   serving_dataset):
         cluster = cluster_factory(num_workers=1, max_pending=2,
-                                  max_batch=4, max_wait_s=0.01,
-                                  batch_stall_s=0.2,
+                                  max_batch=4, batch_stall_s=0.2,
                                   saturation_fallback=True)
         queries = synthetic_queries(serving_dataset, 24, seed=13)
         futures = [cluster.submit(q) for q in queries]

@@ -63,8 +63,8 @@ class TestHotSwap:
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
-            config=ClusterConfig(num_workers=2, max_wait_s=0.005,
-                                 batch_stall_s=0.005, swap_poll_s=0.02))
+            config=ClusterConfig(num_workers=2, batch_stall_s=0.005,
+                                 swap_poll_s=0.02))
         cluster.start()
         try:
             queries = synthetic_queries(serving_dataset, 8, seed=23)

@@ -1,13 +1,18 @@
 """Unit tests for the serving building blocks: caches, batcher, metrics."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.obs.cache import LRUCache
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.serving import MicroBatcher, ODMatchCache, SpeedSliceCache
+from repro.serving import (
+    ClusterConfig, MicroBatcher, ODMatchCache, ServiceConfig,
+    SpeedSliceCache,
+)
 
 
 class TestLRUCache:
@@ -89,25 +94,6 @@ class TestMicroBatcher:
         assert batcher.flush() == 5
         assert [f.result(timeout=1) for f in futures] == [0, 2, 4, 6, 8]
 
-    def test_maybe_flush_triggers_on_full_batch(self):
-        batcher = MicroBatcher(lambda xs: xs, max_batch=3,
-                               max_wait_s=1e9, clock=lambda: 0.0)
-        for i in range(2):
-            batcher.submit(i)
-        assert batcher.maybe_flush() == 0       # neither full nor expired
-        batcher.submit(2)
-        assert batcher.maybe_flush() == 3       # full
-
-    def test_maybe_flush_triggers_on_timeout(self):
-        now = [0.0]
-        batcher = MicroBatcher(lambda xs: xs, max_batch=100,
-                               max_wait_s=0.010, clock=lambda: now[0])
-        future = batcher.submit("q")
-        assert batcher.maybe_flush() == 0       # window still open
-        now[0] = 0.011                          # oldest waited > max_wait
-        assert batcher.maybe_flush() == 1
-        assert future.result(timeout=1) == "q"
-
     def test_batch_size_cap_and_drain(self):
         sizes = []
         batcher = MicroBatcher(lambda xs: xs, max_batch=4,
@@ -128,7 +114,7 @@ class TestMicroBatcher:
 
     def test_threaded_mode_end_to_end(self):
         batcher = MicroBatcher(lambda xs: [x + 1 for x in xs],
-                               max_batch=16, max_wait_s=0.002).start()
+                               max_batch=16).start()
         try:
             futures = [batcher.submit(i) for i in range(50)]
             results = [f.result(timeout=5) for f in futures]
@@ -142,6 +128,93 @@ class TestMicroBatcher:
         batcher.start()
         batcher.stop()
         assert future.result(timeout=1) == "left-over"
+
+    def test_lone_submit_on_idle_worker_runs_alone(self):
+        sizes = []
+        batcher = MicroBatcher(lambda xs: xs, max_batch=64,
+                               on_batch=sizes.append).start()
+        try:
+            assert batcher.submit("lone").result(timeout=30) == "lone"
+        finally:
+            batcher.stop()
+        assert sizes == [1]
+
+    def test_submits_queued_while_busy_form_the_next_batches(self):
+        """Work-conserving policy: while the handler is blocked on
+        batch 1, queued submits wait; once it returns they run as the
+        next batches, capped at max_batch, in FIFO order."""
+        busy, release = threading.Event(), threading.Event()
+        batches = []
+
+        def handler(xs):
+            batches.append(list(xs))
+            if len(batches) == 1:
+                busy.set()
+                release.wait(timeout=30)
+            return xs
+
+        batcher = MicroBatcher(handler, max_batch=4).start()
+        try:
+            first = batcher.submit("first")
+            assert busy.wait(timeout=30)
+            futures = [batcher.submit(i) for i in range(10)]
+            assert batcher.pending == 10
+            release.set()
+            assert [f.result(timeout=30) for f in futures] == list(range(10))
+            assert first.result(timeout=30) == "first"
+        finally:
+            release.set()
+            batcher.stop()
+        assert batches == [["first"], [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+    def test_concurrent_submitters_lose_nothing(self):
+        sizes = []
+        batcher = MicroBatcher(list, max_batch=8,
+                               on_batch=sizes.append).start()
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller(t):
+                futures = [batcher.submit((t, i)) for i in range(200)]
+                results[t] = [f.result(timeout=30) for f in futures]
+
+            threads = [threading.Thread(target=caller, args=(t,))
+                       for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.stop()
+        assert results == {t: [(t, i) for i in range(200)]
+                           for t in range(6)}
+        assert sum(sizes) == 1200 and max(sizes) <= 8
+
+
+class TestRetiredBatchingWindow:
+    """The batching window is gone from every layer; its knobs are
+    rejected rather than silently ignored."""
+
+    def test_batcher_takes_no_window(self):
+        with pytest.raises(TypeError):
+            MicroBatcher(lambda xs: xs, max_wait_s=0.005)
+
+    def test_config_fields_removed(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait_s=0.005)
+        with pytest.raises(TypeError):
+            ClusterConfig(max_wait_s=0.002)
+
+    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    def test_cli_flag_removed(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--artifact", str(tmp_path),
+                  "--max-wait-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err
 
 
 class TestMetrics:

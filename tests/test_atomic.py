@@ -47,7 +47,8 @@ TINY_CFG = DeepODConfig(
     d7_m=16, d9_m=16, d_h=16, d_traf=8, batch_size=16, epochs=1,
     use_external_features=False, seed=0)
 SPEC = DatasetSpec("mini-chengdu", num_trips=60, num_days=7)
-FAIL_CLOSED = (ArtifactError, CheckpointError, RegistryError, ValueError)
+FAIL_CLOSED = (ArtifactError, CheckpointError, RegistryError, ValueError,
+               FileNotFoundError)
 
 
 class InjectedFault(OSError):
@@ -311,19 +312,32 @@ def _artifact_writer():
         read, may_fail_closed=True)
 
 
-def _stamp_writer():
-    def prepare(w, root):
-        shutil.copytree(w["disk_dir"], root / "ds")
-        return read_meta(str(root / "ds"))["fingerprint"]
+def _copy_dataset_dir(w, root):
+    shutil.copytree(w["disk_dir"], root / "ds")
+    return read_meta(str(root / "ds"))["fingerprint"]
 
-    def read(w, root):
-        fingerprint = read_meta(str(root / "ds"))["fingerprint"]
-        with TaxiDataset.open(str(root / "ds")) as reopened:
-            assert dataset_fingerprint(reopened) == fingerprint
-        return fingerprint
+
+def _read_dataset_dir(w, root):
+    fingerprint = read_meta(str(root / "ds"))["fingerprint"]
+    with TaxiDataset.open(str(root / "ds")) as reopened:
+        assert dataset_fingerprint(reopened) == fingerprint
+    return fingerprint
+
+
+def _stamp_writer():
     return Writer(
-        "stamp_fingerprint", prepare,
-        lambda w, root: stamp_fingerprint(str(root / "ds"), "0" * 64), read)
+        "stamp_fingerprint", _copy_dataset_dir,
+        lambda w, root: stamp_fingerprint(str(root / "ds"), "0" * 64),
+        _read_dataset_dir)
+
+
+def _dataset_dir_writer():
+    def write(w, root):
+        build(DatasetSpec(SPEC.city, num_trips=SPEC.num_trips - 20,
+                          num_days=SPEC.num_days, chunk_size=32,
+                          storage="disk", out_dir=str(root / "ds"))).close()
+    return Writer("dataset dir build", _copy_dataset_dir, write,
+                  _read_dataset_dir, may_fail_closed=True)
 
 
 def _lint_cache_writer():
@@ -353,7 +367,8 @@ WRITERS = [
     _promote_writer("promote versions dir"),
     _promote_writer("promote current link", commit_index=2,
                     symlink_payload=True),
-    _artifact_writer(), _stamp_writer(), _lint_cache_writer(),
+    _artifact_writer(), _stamp_writer(), _dataset_dir_writer(),
+    _lint_cache_writer(),
 ]
 
 
