@@ -39,8 +39,9 @@ def main() -> None:
         artifact = save_artifact(f"{tmp}/model", predictor)
         print(f"artifact saved to {artifact}")
 
-        # Reload: regenerating nothing but the dataset; weights, config
-        # and calibration all come from the bundle.
+        # Reload: weights, config, calibration, speed matrices and the
+        # TEMP table all come from the artifact; the dataset we hold is
+        # only fingerprint-checked and attached as the trip side.
         restored = load_artifact(artifact, dataset=dataset)
         service = TravelTimeService(
             restored, config=ServiceConfig(max_batch=64)).start()

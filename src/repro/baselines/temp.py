@@ -46,16 +46,30 @@ class TEMPEstimator(TravelTimeEstimator):
         if not trips:
             raise ValueError("no training trips")
         rows = np.zeros((len(trips), 6))
-        self._slot_index = defaultdict(list)
         for i, trip in enumerate(trips):
             od = trip.od
-            slot = self._week_slot(od.depart_time)
-            rows[i] = (*od.origin_xy, *od.destination_xy, slot,
-                       trip.travel_time)
+            rows[i] = (*od.origin_xy, *od.destination_xy,
+                       self._week_slot(od.depart_time), trip.travel_time)
+        return self.fit_records(rows)
+
+    def fit_records(self, records: np.ndarray) -> "TEMPEstimator":
+        """Fit from a record table (:attr:`records` of a fitted TEMP with
+        the same ``slot_minutes``) instead of from trips."""
+        records = np.asarray(records, dtype=np.float64)
+        if records.ndim != 2 or records.shape[1] != 6 or not len(records):
+            raise ValueError("TEMP records must be a non-empty (N, 6) table")
+        self._slot_index = defaultdict(list)
+        for i, slot in enumerate(records[:, 4].astype(np.int64).tolist()):
             self._slot_index[slot].append(i)
-        self._records = rows
-        self._fallback_time = float(rows[:, 5].mean())
+        self._records = records
+        self._fallback_time = float(records[:, 5].mean())
         return self
+
+    @property
+    def records(self) -> Optional[np.ndarray]:
+        """The fitted trip table, one ``(ox, oy, dx, dy, week slot,
+        travel time)`` row per training trip (``None`` before fit)."""
+        return self._records
 
     def _week_slot(self, t: float) -> int:
         minutes = (t / 60.0) % (7 * 24 * 60)

@@ -315,6 +315,22 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def cmd_artifact_upgrade(args) -> int:
+    """Write the serving-state bundle of a schema-1 artifact in place."""
+    from .serving import ArtifactError, upgrade_artifact
+    try:
+        upgraded = upgrade_artifact(args.directory)
+    except ArtifactError as exc:
+        raise SystemExit(f"cannot upgrade artifact: {exc}")
+    if upgraded:
+        print(f"artifact {args.directory} upgraded: serving-state bundle "
+              f"written")
+    else:
+        print(f"artifact {args.directory} is already current; "
+              f"nothing written")
+    return 0
+
+
 def cmd_loadtest(args) -> int:
     """Run the serving load harness and write ``BENCH_serving.json``."""
     from .serving import ArtifactError
@@ -815,6 +831,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--verbose", action="store_true")
     obs(p_serve)
     p_serve.set_defaults(func=cmd_serve)
+
+    p_artifact = sub.add_parser(
+        "artifact", help="maintain serving artifacts")
+    artifact_sub = p_artifact.add_subparsers(dest="artifact_command",
+                                             required=True)
+    p_upgrade = artifact_sub.add_parser(
+        "upgrade", help="regenerate a schema-1 artifact's dataset once and "
+                        "write its serving-state bundle")
+    p_upgrade.add_argument("directory", help="artifact directory")
+    p_upgrade.set_defaults(func=cmd_artifact_upgrade)
 
     p_loadtest = sub.add_parser(
         "loadtest", help="serving load harness -> BENCH_serving.json")

@@ -117,21 +117,59 @@ class TravelTimePredictor:
 
     def __init__(self, trainer: DeepODTrainer, coverage: float = 0.8,
                  quantiles: Optional[Tuple[float, float]] = None):
-        if not 0.0 < coverage < 1.0:
-            raise ValueError("coverage must be in (0, 1)")
-        self.trainer = trainer
-        self.dataset: TaxiDataset = trainer.dataset
-        self.model: DeepOD = trainer.model
-        self.plan = InferencePlan.compile(self.model)
-        self.index = SpatialIndex(self.dataset.net)
-        self.coverage = coverage
+        self._trainer: Optional[DeepODTrainer] = trainer
+        self._bind(trainer.model, trainer.dataset, coverage)
         if quantiles is not None:
-            lo, hi = float(quantiles[0]), float(quantiles[1])
-            if not lo <= hi:
-                raise ValueError("quantiles must satisfy lo <= hi")
-            self._lo_q, self._hi_q = min(lo, 1.0), max(hi, 1.0)
+            self._set_quantiles(quantiles)
         else:
             self._lo_q, self._hi_q = self._calibrate()
+
+    @classmethod
+    def from_model(cls, model: DeepOD, dataset: TaxiDataset,
+                   quantiles: Tuple[float, float],
+                   coverage: float = 0.8) -> "TravelTimePredictor":
+        """A predictor over a restored model, with no trainer and no
+        calibration pass: how ``repro.serving.artifact`` restores one
+        from its weights and saved band quantiles.  A trainer is built
+        on first read of :attr:`trainer`."""
+        predictor = cls.__new__(cls)
+        predictor._trainer = None
+        predictor._bind(model, dataset, coverage)
+        predictor._set_quantiles(quantiles)
+        return predictor
+
+    def _bind(self, model: DeepOD, dataset: TaxiDataset,
+              coverage: float) -> None:
+        if not 0.0 < coverage < 1.0:
+            raise ValueError("coverage must be in (0, 1)")
+        self.dataset: TaxiDataset = dataset
+        self.model: DeepOD = model
+        self.plan = InferencePlan.compile(model)
+        self.index = SpatialIndex(dataset.net)
+        self.coverage = coverage
+
+    def _set_quantiles(self, quantiles: Tuple[float, float]) -> None:
+        lo, hi = float(quantiles[0]), float(quantiles[1])
+        if not lo <= hi:
+            raise ValueError("quantiles must satisfy lo <= hi")
+        self._lo_q, self._hi_q = min(lo, 1.0), max(hi, 1.0)
+
+    @property
+    def trainer(self) -> DeepODTrainer:
+        """The trainer behind the model (the val-MAE prediction path).
+
+        A predictor built by :meth:`from_model` makes one on first read.
+        That reads the dataset's training split, which regenerates the
+        trips of an artifact loaded without its dataset; the model keeps
+        its restored target-normalisation statistics.
+        """
+        if self._trainer is None:
+            mean = float(self.model.target_mean[0])
+            std = float(self.model.target_std[0])
+            trainer = DeepODTrainer(self.model, self.dataset, eval_every=0)
+            self.model.set_target_stats(mean, std)
+            self._trainer = trainer
+        return self._trainer
 
     @property
     def quantiles(self) -> Tuple[float, float]:

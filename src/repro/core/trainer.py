@@ -35,8 +35,11 @@ def build_deepod(dataset: TaxiDataset, config: Optional[DeepODConfig] = None,
     config = config or DeepODConfig()
     tracer = tracer or NULL_TRACER
     rng = np.random.default_rng(config.seed)
-    train_trajs = [t.trajectory.edge_ids for t in dataset.split.train
-                   if t.trajectory is not None]
+    # Only a pre-trained Ws reads trajectories: a 'onehot' build (the
+    # artifact loader's) must not touch the trip side at all.
+    train_trajs = ([] if config.init_road_embedding == "onehot" else
+                   [t.trajectory.edge_ids for t in dataset.split.train
+                    if t.trajectory is not None])
     with tracer.span("pretrain.road_embedding",
                      method=config.init_road_embedding, dim=config.d_s):
         road_emb = RoadSegmentEmbedding.pretrained(

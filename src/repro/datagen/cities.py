@@ -26,10 +26,13 @@ laptop RAM.  The typed entry point for every build is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..roadnet.generators import grid_city
 from ..roadnet.graph import RoadNetwork
+from ..temporal.timeslot import TimeSlotConfig
+from .traffic import TrafficConfig, TrafficModel
+from .weather import WeatherProcess
 
 
 @dataclass
@@ -105,3 +108,20 @@ def preset_network(preset: CityPreset) -> RoadNetwork:
                      if preset.river_row >= 0 else None,
                      bridge_cols=preset.bridge_cols,
                      seed=preset.seed)
+
+
+def preset_processes(preset: CityPreset, horizon_seconds: float
+                     ) -> Tuple[RoadNetwork, WeatherProcess, TrafficModel]:
+    """The preset's network and its weather and traffic processes over
+    ``horizon_seconds``, regenerated from the preset's seeds (the seeds
+    the build pipeline and disk datasets use) — what a serving artifact
+    rebuilds instead of storing."""
+    net = preset_network(preset)
+    return (net, WeatherProcess(horizon_seconds, seed=preset.seed + 1),
+            TrafficModel(net, TrafficConfig(), seed=preset.seed + 2))
+
+
+def preset_slot_config(preset: CityPreset) -> TimeSlotConfig:
+    """The preset's time slots (Definition 4), counted from t0 = 0."""
+    return TimeSlotConfig(base_timestamp=0.0,
+                          slot_seconds=preset.slot_seconds)

@@ -32,9 +32,9 @@ import numpy as np
 
 from ..atomic import replace_dir
 from ..obs.tracing import NULL_TRACER, Tracer
-from ..temporal.timeslot import SECONDS_PER_DAY, TimeSlotConfig
+from ..temporal.timeslot import SECONDS_PER_DAY
 from ..trajectory.model import TripRecord
-from .cities import CityPreset, PRESETS, preset_network
+from .cities import CityPreset, PRESETS, preset_network, preset_slot_config
 from .dataset import (
     BuildInfo, TaxiDataset, chronological_split, dataset_fingerprint,
     split_indices,
@@ -180,11 +180,6 @@ def _rematch_chunk(matcher, trips: List[TripRecord], jobs: int,
     return out
 
 
-def _slot_config(preset: CityPreset) -> TimeSlotConfig:
-    return TimeSlotConfig(base_timestamp=0.0,
-                          slot_seconds=preset.slot_seconds)
-
-
 def _build_ram(preset, spec, tracer, net, weather, traffic, matcher,
                chunks, trips_n, horizon, grid, info) -> TaxiDataset:
     trips: List[TripRecord] = []
@@ -208,7 +203,8 @@ def _build_ram(preset, spec, tracer, net, weather, traffic, matcher,
         speed_store = accumulator.finalize()
     return TaxiDataset(
         name=preset.name, net=net, trips=trips, split=split,
-        slot_config=_slot_config(preset), weather=weather, traffic=traffic,
+        slot_config=preset_slot_config(preset), weather=weather,
+        traffic=traffic,
         speed_store=speed_store, horizon_seconds=horizon,
         build_params=info)
 

@@ -84,6 +84,11 @@ class SpeedMatrixStore:
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def matrices(self) -> np.ndarray:
+        """The whole (periods, rows, cols) stack of raw mean speeds."""
+        return self._matrices
+
     def close(self) -> None:
         """Release the matrix stack's memory map when the store was
         opened from a dataset directory; a no-op for in-memory stores.

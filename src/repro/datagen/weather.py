@@ -70,6 +70,11 @@ class WeatherProcess:
         self._states = states
         self.horizon_seconds = float(horizon_seconds)
 
+    @property
+    def hourly_categories(self) -> np.ndarray:
+        """The category id of every hour of the horizon."""
+        return self._states
+
     def category(self, t: float) -> int:
         """Weather category id at time t (clamped to the horizon)."""
         if t < 0:

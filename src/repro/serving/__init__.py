@@ -5,8 +5,12 @@ estimation runs only M_O and M_E, cheaply, per query.  This package is
 the operational half of that story:
 
 ``artifact``
-    Self-contained model bundles (weights + config + calibration +
-    dataset fingerprint) that round-trip to a ready predictor.
+    Self-contained model bundles (weights + config + calibration + the
+    serving-state bundle of speed matrices and TEMP's trip table) that
+    round-trip to a ready predictor with no trip in memory.
+``state``
+    :class:`ServingDataset`, the loaded serving state a predictor and a
+    service read in place of the training dataset.
 ``batcher``
     Micro-batching of single queries into vectorised model calls.
 ``cache``
@@ -32,7 +36,7 @@ the operational half of that story:
 
 from .artifact import (
     ArtifactError, load_artifact, read_manifest, save_artifact,
-    validate_artifact,
+    upgrade_artifact, validate_artifact,
 )
 from .batcher import MicroBatcher
 from .cache import ODMatchCache, SpeedSliceCache
@@ -42,11 +46,12 @@ from .fallback import HistoricalAverageFallback
 from .route_baseline import RouteTimeBaseline
 from .server import ServingHTTPServer, parse_query, run_jsonl_loop, serve_http
 from .service import ServiceConfig, ServingResponse, TravelTimeService
+from .state import ServingDataset
 from .cluster import ClusterConfig, ServingCluster
 
 __all__ = [
     "ArtifactError", "load_artifact", "read_manifest", "save_artifact",
-    "validate_artifact",
+    "upgrade_artifact", "validate_artifact", "ServingDataset",
     "MicroBatcher",
     "ODMatchCache", "SpeedSliceCache",
     "HistoricalAverageFallback", "RouteTimeBaseline",

@@ -9,8 +9,8 @@ and the JSON-lines loop serve either interchangeably:
 * a :class:`ShardRouter` partitions queries by origin region across
   ``num_workers`` worker processes (cache affinity: a popular pickup
   point always hits the same worker's LRU);
-* workers are **forked after** the parent builds the dataset and loads
-  the deployed predictor, so the heavy read-only state is shared
+* workers are **forked after** the parent loads the deployed predictor
+  from its serving-state bundle, so the read-only state is shared
   copy-on-write — the sweep-executor pattern applied to serving;
 * each shard has a parent-side :class:`MicroBatcher`, so single queries
   from many concurrent connections coalesce into vectorised batches
@@ -131,8 +131,11 @@ class ServingCluster(Instrumented):
         (:class:`~repro.serving.ArtifactError` propagates); workers
         watch this path for version changes for as long as they live.
     dataset:
-        Skips dataset regeneration when the caller already holds the
-        training dataset (it is fingerprint-checked regardless).
+        The training dataset, when the caller holds it: fingerprint-
+        checked and attached as the predictor's trip side (see
+        :func:`~repro.serving.artifact.load_artifact`).  The serving
+        state, TEMP fallback included, comes from the artifact's bundle
+        either way.
     """
 
     def __init__(self, artifact_path: str,
@@ -204,8 +207,7 @@ class ServingCluster(Instrumented):
     def _spawn_worker(self, handle: _ShardHandle, ctx, inherit: bool
                       ) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        inherited = ((self._version, self._predictor, self.dataset)
-                     if inherit else None)
+        inherited = (self._version, self._predictor) if inherit else None
         process = ctx.Process(
             target=worker_main,
             args=(child_conn, handle.shard_id, self.watch_path,

@@ -3,9 +3,10 @@
 A worker owns a full single-process serving stack (caches, fallback,
 metrics) for its shard and answers batches shipped over a
 ``multiprocessing`` pipe by the parent's dispatcher.  Workers are
-forked *after* the parent has built the dataset and loaded the deployed
-predictor, so both arrive by copy-on-write — no per-worker dataset
-regeneration, no per-worker weight load on a cold start.
+forked *after* the parent has loaded the deployed predictor, so it
+arrives by copy-on-write — no per-worker weight load on a cold start.
+Every other load (a spawned worker, a hot swap) reads the artifact's
+serving-state bundle and generates no trip.
 
 **Hot swap.**  The worker watches ``watch_path`` — typically the
 promotion gate's ``<deploy>/current`` symlink — by resolving its
@@ -14,7 +15,8 @@ realpath changes (the gate's atomic symlink flip), the worker has by
 construction no in-flight work (it answers one batch at a time; queued
 requests wait in the pipe), so it reloads in place and the next batch
 runs on the new model.  A reload that fails — mid-copy artifact,
-checksum mismatch, dataset-fingerprint drift — keeps the old predictor
+checksum mismatch, a model trained on another dataset (its manifest
+fingerprint differs from the serving one) — keeps the old predictor
 serving and retries on the next tick: a bad push can never take a shard
 down, and no request is ever dropped across a swap.
 
@@ -80,11 +82,10 @@ class _WorkerState:
     """The live model + service of one worker, reloadable in place."""
 
     def __init__(self, shard_id: int, watch_path: str, version: str,
-                 predictor, dataset, options: WorkerOptions):
+                 predictor, options: WorkerOptions):
         self.shard_id = shard_id
         self.watch_path = watch_path
         self.version = version
-        self.dataset = dataset
         self.options = options
         self.swaps = 0
         self.swap_failures = 0
@@ -96,7 +97,7 @@ class _WorkerState:
         # service never starts the internal micro-batcher thread —
         # batching happens once, in the parent, across connections.
         self.service = TravelTimeService(
-            predictor=predictor, dataset=self.dataset,
+            predictor=predictor,
             config=self.options.service or ServiceConfig())
         if self._live_slices:
             # Live traffic state outlives a hot swap: the new model must
@@ -111,18 +112,25 @@ class _WorkerState:
     def maybe_reload(self) -> bool:
         """Reload iff the watched artifact now resolves elsewhere.
 
-        Fail-closed on a broken candidate: the old model keeps serving
-        and the reload is retried on the next tick.
+        Fail-closed on a broken candidate, or one trained on another
+        dataset: the old model keeps serving and the reload is retried
+        on the next tick.
         """
         target = os.path.realpath(self.watch_path)
         if target == self.version:
             return False
         try:
-            predictor = load_artifact(target, dataset=self.dataset)
+            predictor = load_artifact(target)
         except ArtifactError:
             self.swap_failures += 1
             return False
+        previous = self.service.dataset
+        if predictor.dataset.fingerprint != previous.fingerprint:
+            predictor.dataset.close()
+            self.swap_failures += 1
+            return False
         self._build_service(predictor)
+        previous.close()        # no batch is in flight across a swap
         self.version = target
         self.swaps += 1
         return True
@@ -153,19 +161,18 @@ def worker_main(conn, shard_id: int, watch_path: str,
                 inherited: Optional[Tuple], options: WorkerOptions) -> None:
     """Process entry point: serve batches from ``conn`` until told to stop.
 
-    ``inherited`` is ``(version, predictor, dataset)`` under the fork
-    start method (copy-on-write, nothing pickled); ``None`` under spawn,
-    in which case the worker loads the artifact itself (the manifest's
-    recorded build parameters regenerate the dataset).
+    ``inherited`` is ``(version, predictor)`` under the fork start
+    method (copy-on-write, nothing pickled); ``None`` under spawn, in
+    which case the worker loads the artifact itself from its
+    serving-state bundle.
     """
     if inherited is not None:
-        version, predictor, dataset = inherited
+        version, predictor = inherited
     else:
         version = os.path.realpath(watch_path)
         predictor = load_artifact(version)
-        dataset = predictor.dataset
     state = _WorkerState(shard_id, watch_path, version, predictor,
-                         dataset, options)
+                         options)
     try:
         while True:
             if not conn.poll(options.swap_poll_s):

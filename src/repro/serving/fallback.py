@@ -5,7 +5,9 @@ artifact failed validation, the weights are corrupt, or a prediction
 raises at runtime.  The fallback is a TEMP-style neighbour average
 (Wang et al., SIGSPATIAL 2016 — the paper's non-learning baseline): it
 needs only the historical trip table, cannot fail on any input, and is
-exactly what ran in production before learned estimators existed.
+exactly what ran in production before learned estimators existed.  A
+dataset loaded from an artifact brings that table in its serving-state
+bundle, so no trip is read.
 Responses served this way are flagged ``degraded`` so callers and
 dashboards can tell model answers from fallback answers.
 """
@@ -16,9 +18,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines.temp import TEMPEstimator
 from ..datagen.dataset import TaxiDataset
 from ..trajectory.model import ODInput, Query, TripRecord
+from .state import fitted_temp
 
 
 class HistoricalAverageFallback:
@@ -35,7 +37,7 @@ class HistoricalAverageFallback:
         if not 0.0 < lo <= 1.0 <= hi:
             raise ValueError("band ratios must straddle 1.0")
         self.band_ratios = (float(lo), float(hi))
-        self._temp = TEMPEstimator().fit(dataset)
+        self._temp = fitted_temp(dataset)
 
     def estimate_seconds(self, queries: Sequence[Query]) -> np.ndarray:
         """Point estimates (seconds) for queries (:class:`Query` objects

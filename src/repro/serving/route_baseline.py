@@ -53,8 +53,7 @@ class RouteTimeBaseline:
         self.min_cell_speed = min_cell_speed
         store = store_provider()
         self._rows, self._cols = edge_cell_indices(net, store)
-        self._lengths = np.array([net.edge(e).length
-                                  for e in range(net.num_edges)])
+        self._lengths = net.edge_arrays()[2]
 
     # ------------------------------------------------------------------
     def _edge_seconds(self, t: float) -> np.ndarray:

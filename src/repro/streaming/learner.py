@@ -13,9 +13,10 @@ workers, via the deployment directory's ``current`` symlink hot swap.
 Fingerprint discipline: the fine-tune itself runs against a *view* of
 the dataset whose splits are the recent window (so target normalisation
 re-anchors to the shifted regime and calibration uses recent trips),
-but the saved artifact is bound to the ORIGINAL dataset — its recorded
-fingerprint stays valid, so workers' fail-closed ``load_artifact``
-revalidation accepts the swap.
+but the saved artifact is bound to the ORIGINAL dataset: its manifest
+fingerprint and its serving-state bundle (speed matrices, TEMP table)
+are the original's, so workers reloading it from the bundle see the
+fingerprint they already serve and accept the swap.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class ContinuousLearner(Instrumented):
             # A fresh copy of the deployed weights — fine-tuning must
             # not mutate any live predictor sharing the incumbent model.
             start = load_artifact(incumbent_path, dataset=self.dataset)
-            model = start.trainer.model
+            model = start.model
+            start.dataset.close()
 
             view = self._view(train, holdout)
             trainer = DeepODTrainer(model, view, eval_every=0,

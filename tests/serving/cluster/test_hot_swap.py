@@ -14,15 +14,29 @@ the new version.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 import time
 
 import pytest
 
+from repro.atomic import swap_symlink
+from repro.core import DeepODTrainer, TravelTimePredictor, build_deepod
+from repro.datagen import DatasetSpec, build
+from repro.datagen.trips import TripGenerator
 from repro.experiments import promote
-from repro.serving import ClusterConfig, ServingCluster, save_artifact
+from repro.serving import (
+    ClusterConfig, ServingCluster, TravelTimeService, load_artifact,
+    save_artifact,
+)
+from repro.serving import artifact as artifact_mod
 from repro.serving.cluster import synthetic_queries
+from repro.serving.cluster.worker import (
+    WorkerOptions, row_to_response, worker_main,
+)
+
+from ..conftest import TINY_CFG, TINY_DAYS, TINY_TRIPS
 
 
 def _save_generation(directory, predictor, run_id, band_scale=1.0):
@@ -59,7 +73,14 @@ def _versions(cluster):
 class TestHotSwap:
     def test_zero_dropped_requests_across_swap(self, deployment, tmp_path,
                                                trained_predictor,
-                                               serving_dataset):
+                                               serving_dataset,
+                                               monkeypatch):
+        # A swap reloads from the serving-state bundle: trip generation
+        # raises here and in the forked workers, which inherit the patch.
+        def no_trips(*args, **kwargs):
+            raise AssertionError("trip generation during a swap")
+        monkeypatch.setattr(artifact_mod, "build", no_trips)
+        monkeypatch.setattr(TripGenerator, "generate_chunks", no_trips)
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
@@ -124,10 +145,43 @@ class TestHotSwap:
             infos = cluster.health()
             assert all(info["version"] == new_real for info in infos)
             assert sum(info["swaps"] for info in infos) >= 1
+            assert all(info["swap_failures"] == 0 for info in infos)
 
             # The swap is observable: generation 2's doubled band.
             band_after = cluster.query(probe).upper
             assert band_after != band_before
+        finally:
+            cluster.stop()
+
+    def test_swap_to_another_datasets_model_is_refused(self, deployment,
+                                                       tmp_path,
+                                                       serving_dataset):
+        other = build(DatasetSpec("mini-chengdu", num_trips=TINY_TRIPS + 10,
+                                  num_days=TINY_DAYS))
+        config = TINY_CFG.with_overrides(init_road_embedding="onehot",
+                                         init_slot_embedding="onehot")
+        trainer = DeepODTrainer(build_deepod(other, config), other,
+                                eval_every=0)
+        foreign = save_artifact(
+            str(deployment / "versions" / "foreign"),
+            TravelTimePredictor(trainer, quantiles=(0.7, 1.4)))
+        current = str(deployment / "current")
+        cluster = ServingCluster(
+            current, dataset=serving_dataset,
+            config=ClusterConfig(num_workers=1, swap_poll_s=0.02))
+        cluster.start()
+        try:
+            old_real = os.path.realpath(current)
+            swap_symlink(current, os.path.relpath(foreign, deployment))
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                info = cluster.health()[0]
+                if info.get("swap_failures", 0) >= 1:
+                    break
+                time.sleep(0.05)
+            assert info["swap_failures"] >= 1
+            assert info["swaps"] == 0
+            assert info["version"] == old_real
         finally:
             cluster.stop()
 
@@ -167,3 +221,31 @@ class TestHotSwap:
                        for r in responses)
         finally:
             cluster.stop()
+
+
+def test_spawned_worker_serves_from_the_bundle(artifact_dir, serving_dataset,
+                                               monkeypatch):
+    """``worker_main`` with nothing inherited (the spawn start method)
+    loads the artifact itself: from its bundle, with no trip generated.
+    Driven over a pipe from a thread, so no process is started."""
+    def no_trips(*args, **kwargs):
+        raise AssertionError("trip generation in a spawned worker")
+    monkeypatch.setattr(artifact_mod, "build", no_trips)
+    monkeypatch.setattr(TripGenerator, "generate_chunks", no_trips)
+    queries = synthetic_queries(serving_dataset, 8, seed=31)
+    parent, child = multiprocessing.Pipe(duplex=True)
+    worker = threading.Thread(
+        target=worker_main,
+        args=(child, 0, artifact_dir, None, WorkerOptions(swap_poll_s=0.02)))
+    worker.start()
+    try:
+        parent.send(("batch", [tuple(q) for q in queries]))
+        kind, rows = parent.recv()
+    finally:
+        parent.send(("stop",))
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert kind == "ok", rows
+    expected = TravelTimeService(load_artifact(
+        artifact_dir, dataset=serving_dataset)).query_batch(queries)
+    assert [row_to_response(r) for r in rows] == expected

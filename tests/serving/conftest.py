@@ -1,5 +1,8 @@
 """Shared fixtures for the serving test suite: one tiny trained model."""
 
+import json
+import os
+
 import pytest
 
 from repro.core import (
@@ -8,6 +11,7 @@ from repro.core import (
 from repro.datagen import DatasetSpec, build
 
 TINY_TRIPS = 60
+BUNDLE_FILES = ("speed_matrices.npy", "temp_records.npy")
 TINY_DAYS = 7
 
 TINY_CFG = DeepODConfig(
@@ -41,3 +45,19 @@ def artifact_dir(tmp_path_factory, trained_predictor):
     from repro.serving import save_artifact
     directory = tmp_path_factory.mktemp("artifact")
     return save_artifact(str(directory), trained_predictor)
+
+
+def downgrade_to_schema_1(directory):
+    """Rewrite a saved artifact the way a schema-1 writer left it: no
+    serving-state bundle files and no ``serving_state`` manifest entry."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as handle:
+        manifest = json.load(handle)
+    del manifest["serving_state"]
+    manifest["schema_version"] = 1
+    for name in BUNDLE_FILES:
+        os.remove(os.path.join(directory, name))
+    with open(path, "w") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return directory

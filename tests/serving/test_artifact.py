@@ -1,20 +1,27 @@
 """Artifact save/load round-trip and fail-closed validation."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.baselines.temp import TEMPEstimator
 from repro.core import DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build, strip_trajectories
+from repro.datagen.cities import PRESETS, preset_processes
 from repro.experiments import RegistryError, RunRegistry
 from repro.nn import load_state, save_state
 from repro.serving import (
-    ArtifactError, load_artifact, save_artifact, validate_artifact,
+    ArtifactError, RouteTimeBaseline, load_artifact, save_artifact,
+    validate_artifact,
 )
+from repro.serving import artifact as artifact_mod
 
-from .conftest import TINY_CFG, TINY_DAYS, TINY_TRIPS
+from .conftest import (
+    BUNDLE_FILES, TINY_CFG, TINY_DAYS, TINY_TRIPS, downgrade_to_schema_1,
+)
 
 
 class TestRoundTrip:
@@ -48,6 +55,47 @@ class TestRoundTrip:
         test = strip_trajectories(restored.dataset.split.test)
         assert np.array_equal(trained_trainer.predict(test),
                               restored.trainer.predict(test))
+
+    def test_trip_side_regenerates_once_on_first_read(
+            self, artifact_dir, serving_dataset, monkeypatch):
+        calls = []
+        real_build = artifact_mod.build
+
+        def counting_build(spec):
+            calls.append(spec)
+            return real_build(spec)
+        monkeypatch.setattr(artifact_mod, "build", counting_build)
+        restored = load_artifact(artifact_dir)
+        assert calls == []
+        assert restored.dataset.split.sizes == serving_dataset.split.sizes
+        assert len(restored.dataset.trips) == len(serving_dataset.trips)
+        restored.trainer
+        assert len(calls) == 1
+
+    def test_regenerated_trip_side_is_fingerprint_checked(
+            self, artifact_dir, monkeypatch):
+        other = build(DatasetSpec("mini-chengdu", num_trips=TINY_TRIPS + 10,
+                                  num_days=TINY_DAYS))
+        monkeypatch.setattr(artifact_mod, "build", lambda spec: other)
+        restored = load_artifact(artifact_dir)
+        with pytest.raises(ArtifactError, match="fingerprint"):
+            restored.dataset.split
+
+    def test_serving_state_equals_the_training_dataset(
+            self, artifact_dir, serving_dataset):
+        restored = load_artifact(artifact_dir)
+        state, store = restored.dataset, serving_dataset.speed_store
+        try:
+            assert np.array_equal(state.speed_store.matrices, store.matrices)
+            assert (state.speed_store.global_mean_speed
+                    == store.global_mean_speed)
+            assert state.slot_config == serving_dataset.slot_config
+            assert state.horizon_seconds == serving_dataset.horizon_seconds
+            assert np.array_equal(
+                state.temp.records,
+                TEMPEstimator().fit(serving_dataset).records)
+        finally:
+            state.close()
 
     def test_fresh_build_deepod_plus_load_state(self, artifact_dir,
                                                 trained_trainer,
@@ -138,6 +186,82 @@ class TestValidation:
             load_artifact(directory, dataset=serving_dataset)
         with pytest.raises(RegistryError, match="unknown fields"):
             registry.load_config(run.run_id)
+
+
+class TestBundleValidation:
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_tampered_bundle_file(self, tmp_path, trained_predictor, name):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        data[-1] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        with pytest.raises(ArtifactError, match="checksum"):
+            load_artifact(directory)
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_truncated_bundle_file(self, tmp_path, trained_predictor, name):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        path = os.path.join(directory, name)
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(ArtifactError, match="checksum"):
+            load_artifact(directory)
+
+    def test_network_drift_fails_closed(self, tmp_path, trained_predictor,
+                                        monkeypatch):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        preset = PRESETS["mini-chengdu"]
+        drifted = dataclasses.replace(preset, seed=preset.seed + 100)
+        monkeypatch.setattr(
+            artifact_mod, "preset_processes",
+            lambda p, horizon: preset_processes(drifted, horizon))
+        with pytest.raises(ArtifactError, match="road network digest"):
+            load_artifact(directory)
+
+    def test_weather_drift_fails_closed(self, tmp_path, trained_predictor):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        path = os.path.join(directory, "manifest.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["serving_state"]["weather_sha256"] = "0" * 64
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match="weather series digest"):
+            load_artifact(directory)
+
+    def test_schema_1_names_the_upgrade_command(self, tmp_path,
+                                                trained_predictor):
+        directory = downgrade_to_schema_1(
+            save_artifact(str(tmp_path / "a"), trained_predictor))
+        with pytest.raises(ArtifactError, match="cli artifact upgrade"):
+            load_artifact(directory)
+
+
+class TestLoadPathCleanups:
+    def test_onehot_build_deepod_reads_no_trip(self, serving_dataset):
+        # The artifact loader's build: no trajectory read, and the same
+        # RNG draws (so the same initial weights) as a build that could.
+        class NoTrips:
+            net = serving_dataset.net
+            slot_config = serving_dataset.slot_config
+
+            @property
+            def split(self):
+                raise AssertionError("onehot build read the trip side")
+        config = TINY_CFG.with_overrides(init_road_embedding="onehot",
+                                         init_slot_embedding="onehot")
+        a = build_deepod(serving_dataset, config).state_dict()
+        b = build_deepod(NoTrips(), config).state_dict()
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_route_baseline_edge_lengths(self, serving_dataset):
+        net = serving_dataset.net
+        baseline = RouteTimeBaseline(net, lambda: serving_dataset.speed_store)
+        loop = np.array([net.edge(e).length for e in range(net.num_edges)])
+        assert np.array_equal(baseline._lengths, loop)
 
 
 class TestSaveTarget:

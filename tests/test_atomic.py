@@ -40,7 +40,11 @@ from repro.experiments import (
     load_checkpoint, promote, save_checkpoint,
 )
 from repro.nn import load_arrays, load_state, save_arrays, save_state
-from repro.serving import ArtifactError, load_artifact, save_artifact
+from repro.serving import (
+    ArtifactError, load_artifact, save_artifact, upgrade_artifact,
+)
+
+from .serving.conftest import downgrade_to_schema_1
 
 TINY_CFG = DeepODConfig(
     d_s=8, d_t=8, d1_m=16, d2_m=8, d3_m=16, d4_m=8, d5_m=16, d6_m=8,
@@ -301,14 +305,37 @@ def _artifact_writer():
         return "old"
 
     def read(w, root):
-        loaded = load_artifact(str(root / "model"), dataset=w["dataset"])
+        # No dataset: the serving state comes from the bundle alone
+        # (written first, so the payload fault tears a bundle file).
+        loaded = load_artifact(str(root / "model"))
         assert loaded.model is not None
+        loaded.dataset.close()
         with open(root / "model" / "manifest.json") as handle:
             return json.load(handle)["provenance"]["run_id"]
     return Writer(
         "save_artifact", prepare,
         lambda w, root: save_artifact(str(root / "model"), w["predictor"],
                                       extra_manifest={"run_id": "new"}),
+        read, may_fail_closed=True)
+
+
+def _upgrade_writer():
+    def prepare(w, root):
+        downgrade_to_schema_1(save_artifact(str(root / "model"),
+                                            w["predictor"]))
+        return 1
+
+    def read(w, root):
+        try:
+            load_artifact(str(root / "model")).dataset.close()
+        except ArtifactError as exc:
+            if "schema 1" not in str(exc):
+                raise
+            return 1
+        return 2
+    return Writer(
+        "artifact upgrade", prepare,
+        lambda w, root: upgrade_artifact(str(root / "model")),
         read, may_fail_closed=True)
 
 
@@ -367,7 +394,8 @@ WRITERS = [
     _promote_writer("promote versions dir"),
     _promote_writer("promote current link", commit_index=2,
                     symlink_payload=True),
-    _artifact_writer(), _stamp_writer(), _dataset_dir_writer(),
+    _artifact_writer(), _upgrade_writer(), _stamp_writer(),
+    _dataset_dir_writer(),
     _lint_cache_writer(),
 ]
 

@@ -171,3 +171,80 @@ class TestExpCommands:
         assert main(["exp", "list",
                      "--runs-dir", str(tmp_path / "none")]) == 0
         assert "no runs recorded" in capsys.readouterr().out
+
+
+class TestArtifactUpgrade:
+    """``cli artifact upgrade`` writes a schema-1 artifact's bundle once."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        from repro.core import (
+            DeepODConfig, DeepODTrainer, TravelTimePredictor, build_deepod,
+        )
+        from repro.datagen import DatasetSpec, build
+        from repro.serving import save_artifact
+        dataset = build(DatasetSpec("mini-chengdu", num_trips=60,
+                                    num_days=7))
+        config = DeepODConfig(
+            d_s=8, d_t=8, d1_m=16, d2_m=8, d3_m=16, d4_m=8, d5_m=16,
+            d6_m=8, d7_m=16, d9_m=16, d_h=16, d_traf=8, epochs=1, seed=0,
+            init_road_embedding="onehot", init_slot_embedding="onehot")
+        trainer = DeepODTrainer(build_deepod(dataset, config), dataset,
+                                eval_every=0)
+        predictor = TravelTimePredictor(trainer, quantiles=(0.7, 1.4))
+        return dataset, predictor, save_artifact(str(tmp_path / "m"),
+                                                 predictor)
+
+    @staticmethod
+    def _files(directory):
+        import os
+        return {name: open(os.path.join(directory, name), "rb").read()
+                for name in sorted(os.listdir(directory))}
+
+    def test_upgrades_a_schema_1_artifact_then_loads_it(self, saved,
+                                                        capsys):
+        from repro.serving import (
+            ArtifactError, TravelTimeService, load_artifact,
+        )
+        from repro.serving.cluster import synthetic_queries
+        from .serving.conftest import downgrade_to_schema_1
+        dataset, predictor, directory = saved
+        kept = self._files(downgrade_to_schema_1(directory))
+        with pytest.raises(ArtifactError, match="artifact upgrade"):
+            load_artifact(directory)
+
+        assert main(["artifact", "upgrade", directory]) == 0
+        assert "upgraded" in capsys.readouterr().out
+        after = self._files(directory)
+        assert all(after[name] == kept[name] for name in kept
+                   if name != "manifest.json")
+
+        # The regeneration path: the in-memory predictor over the dataset
+        # the manifest's build parameters produce.
+        queries = synthetic_queries(dataset, 32, seed=5)
+        restored = load_artifact(directory)
+        try:
+            services = [TravelTimeService(p) for p in (restored, predictor)]
+            model, route, temp = [], [], []
+            for service in services:
+                model.append([(r.seconds, r.lower, r.upper, r.source)
+                              for r in service.query_batch(queries)])
+                ods = [service.predictor.match_query(*q) for q in queries]
+                route.append(service.route_baseline.estimate_from_ods(ods))
+                temp.append(service.fallback.estimate_seconds(queries))
+            assert model[0] == model[1]
+            assert np.array_equal(route[0], route[1])
+            assert np.array_equal(temp[0], temp[1])
+        finally:
+            restored.dataset.close()
+
+    def test_current_artifact_is_left_byte_identical(self, saved, capsys):
+        _, _, directory = saved
+        before = self._files(directory)
+        assert main(["artifact", "upgrade", directory]) == 0
+        assert "already current" in capsys.readouterr().out
+        assert self._files(directory) == before
+
+    def test_missing_artifact_exits_with_the_reason(self, tmp_path):
+        with pytest.raises(SystemExit, match="not found"):
+            main(["artifact", "upgrade", str(tmp_path / "nope")])
