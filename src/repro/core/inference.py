@@ -19,6 +19,9 @@ The forward pass is plain numpy on columns: im2col plus one GEMM per
 convolution in channels-last layout, in-place ReLU, global average pool,
 the three MLPs, de-normalisation and the 1 s clip.  It allocates its
 buffers per call and mutates no plan state, so threads may share a plan.
+The convolutions and the pool are :meth:`InferencePlan.traffic_codes`;
+:meth:`InferencePlan.run` takes their D_traf rows, or speed matrices it
+encodes through that same method first.
 
 ``DeepOD.predict`` stays the oracle: the plan matches it to ~1e-15
 relative (folding BatchNorm and the channels-last column order move the
@@ -201,7 +204,8 @@ class InferencePlan:
 
     # ------------------------------------------------------------------
     def predict(self, ods: Sequence[ODInput],
-                speed_matrices: Optional[np.ndarray] = None) -> np.ndarray:
+                speed_matrices: Optional[np.ndarray] = None,
+                traffic: Optional[np.ndarray] = None) -> np.ndarray:
         """Travel times in seconds for OD inputs (``DeepOD.predict``)."""
         cols = np.array([(od.origin_edge, od.destination_edge,
                           od.ratio_start, od.ratio_end, od.depart_time,
@@ -210,13 +214,19 @@ class InferencePlan:
         edges = cols[:, :2].astype(np.int64)
         return self.run(edges[:, 0], edges[:, 1], cols[:, 2], cols[:, 3],
                         cols[:, 4], cols[:, 5].astype(np.int64),
-                        speed_matrices)
+                        speed_matrices, traffic=traffic)
 
     def run(self, origin_edges: np.ndarray, destination_edges: np.ndarray,
             ratio_start: np.ndarray, ratio_end: np.ndarray,
             depart_times: np.ndarray, weather: np.ndarray,
-            speed_matrices: Optional[np.ndarray] = None) -> np.ndarray:
-        """The kernel on per-OD columns; raises as ``DeepOD.predict``."""
+            speed_matrices: Optional[np.ndarray] = None,
+            traffic: Optional[np.ndarray] = None) -> np.ndarray:
+        """The kernel on per-OD columns; raises as ``DeepOD.predict``.
+
+        The traffic condition comes as one ``(rows, cols)`` speed matrix
+        per OD, or as its D_traf row (``traffic``, from
+        :meth:`traffic_codes`); matrices are encoded here first.
+        """
         batch = len(depart_times)
         if not batch:
             raise ValueError("empty OD batch")
@@ -237,7 +247,7 @@ class InferencePlan:
         if self._slots is not None:
             pieces.append(self._slots[slots % len(self._slots)])
         if self._external_mlp is not None:
-            pieces.append(self._ocode(weather, speed_matrices))
+            pieces.append(self._ocode(weather, speed_matrices, traffic))
         pieces.append(np.stack([ratio_start, ratio_end, remainders], axis=1))
         if self._timestamp:
             pieces.append(depart_times[:, None])
@@ -249,25 +259,42 @@ class InferencePlan:
         # Travel times are physically positive; clip tiny/negative outputs.
         return np.maximum(out, 1.0)
 
-    def _ocode(self, weather: np.ndarray,
-               speed_matrices: Optional[np.ndarray]) -> np.ndarray:
-        """Eq. 18: (weather ids, speed matrices) -> ocode."""
-        if speed_matrices is None:
-            raise ValueError(
-                "speed matrices required when external features are on")
-        if weather.min() < 0 or weather.max() >= N_WEATHER_TYPES:
-            raise ValueError("weather id out of range")
+    def traffic_codes(self, speed_matrices: np.ndarray) -> np.ndarray:
+        """D_traf (Section 4.5): the CNN and its global average pool on
+        ``(k, rows, cols)`` speed matrices, as ``(k, d_traf)`` rows.
+
+        A row depends on the matrix alone, so every OD departing in one
+        Δt period shares it: the serving layer encodes each period once.
+        """
+        if not self.uses_speed_matrices:
+            raise ValueError("this model reads no traffic condition")
         mats = np.asarray(speed_matrices, dtype=np.float64)
         if mats.ndim != 3:
             raise ValueError(
                 f"expected (batch, rows, cols), got {mats.shape}")
-        if len(mats) != len(weather):
-            raise ValueError(f"{len(mats)} speed matrices for "
-                             f"{len(weather)} OD inputs")
         x = mats[..., None]                          # channels-last
         for conv in self._convs:
             x = conv(x)
-        traffic = x.reshape(len(x), -1, x.shape[3]).mean(axis=1)  # D_traf
+        return x.reshape(len(x), -1, x.shape[3]).mean(axis=1)
+
+    def _ocode(self, weather: np.ndarray,
+               speed_matrices: Optional[np.ndarray],
+               traffic: Optional[np.ndarray]) -> np.ndarray:
+        """Eq. 18: (weather ids, D_traf rows or speed matrices) -> ocode."""
+        if (speed_matrices is None) == (traffic is None):
+            raise ValueError(
+                "speed matrices required when external features are on"
+                if traffic is None else
+                "pass speed matrices or traffic codes, not both")
+        if weather.min() < 0 or weather.max() >= N_WEATHER_TYPES:
+            raise ValueError("weather id out of range")
+        if traffic is None:
+            traffic = self.traffic_codes(speed_matrices)
+        width = len(self._external_mlp[0])
+        if np.shape(traffic) != (len(weather), width):
+            raise ValueError(f"traffic input of shape {np.shape(traffic)} "
+                             f"for {len(weather)} OD inputs (d_traf "
+                             f"{width})")
         # O_wea is one-hot, so O_wea · W5 is a row gather.
         return _mlp(traffic, *self._external_mlp,
                     extra=self._weather_rows[weather])

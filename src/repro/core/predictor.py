@@ -228,22 +228,26 @@ class TravelTimePredictor:
         return self.estimate_from_ods(ods)
 
     def estimate_from_ods(self, ods: Sequence[ODInput],
-                          speed_matrices: Optional[np.ndarray] = None
+                          speed_matrices: Optional[np.ndarray] = None,
+                          traffic: Optional[np.ndarray] = None
                           ) -> List[Estimate]:
         """Estimate pre-matched OD inputs.
 
         The serving layer uses this entry point so it can supply its own
-        (cached) map matches and speed-matrix slices; ``estimate_batch``
-        funnels through it after matching from raw coordinates.
+        (cached) map matches and traffic condition: one speed matrix per
+        OD, or its D_traf row (``traffic``, from the serving layer's
+        per-period code table).  With neither, the matrices are read
+        from the dataset's store.  ``estimate_batch`` funnels through
+        here after matching from raw coordinates.
         """
         if not len(ods):
             return []
         mats = speed_matrices
-        if mats is None and self.plan.uses_speed_matrices:
+        if mats is None and traffic is None and self.plan.uses_speed_matrices:
             store = self.dataset.speed_store
             mats = np.stack([store.normalized_matrix_before(od.depart_time)
                              for od in ods])
-        preds = self.plan.predict(ods, mats)
+        preds = self.plan.predict(ods, mats, traffic=traffic)
         return [Estimate(seconds=float(p),
                          lower=float(p * self._lo_q),
                          upper=float(p * self._hi_q),

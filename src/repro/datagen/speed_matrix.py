@@ -61,6 +61,18 @@ class SpeedMatrixStore:
         return min(max(int(t // self.config.period_seconds) - 1, 0),
                    self.periods - 1)
 
+    def periods_before(self, times: Sequence[float]) -> np.ndarray:
+        """:meth:`period_before` of every time, as an int64 array."""
+        t = np.asarray(times, dtype=np.float64)
+        if (t < 0).any():
+            raise ValueError("time must be non-negative")
+        if not np.isfinite(t).all():
+            raise ValueError("time must be finite")
+        # Clip in float first: int64 cannot hold t // period for any t.
+        periods = np.clip(t // self.config.period_seconds - 1, 0,
+                          self.periods - 1)
+        return periods.astype(np.int64)
+
     def matrix_at(self, period: int) -> np.ndarray:
         """The raw mean-speed matrix of one period index."""
         if not 0 <= period < self.periods:
@@ -328,6 +340,9 @@ class LiveSpeedStore:
 
     def period_before(self, t: float) -> int:
         return self.base.period_before(t)
+
+    def periods_before(self, times: Sequence[float]) -> np.ndarray:
+        return self.base.periods_before(times)
 
     def matrix_at(self, period: int) -> np.ndarray:
         if not 0 <= period < self.base.periods:

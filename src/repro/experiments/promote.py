@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import os
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -129,40 +130,45 @@ def promote(candidate_dir: str, deploy_root: str,
     """
     decision = PromotionDecision(promoted=False,
                                  candidate_dir=candidate_dir)
-    try:
-        candidate = load_artifact(candidate_dir, dataset=dataset)
-    except ArtifactError as exc:
-        decision.reasons.append(f"candidate artifact invalid: {exc}")
-        return decision
-    dataset = candidate.dataset
-    decision.candidate_mae = heldout_mae(candidate, dataset,
-                                         eval_trips=eval_trips)
-
-    incumbent_path = deployed_artifact_path(deploy_root)
-    if incumbent_path is not None:
+    # Both predictors' bundle maps are released once the decision is
+    # made, on every path; the install below copies files only.
+    with ExitStack() as loaded:
         try:
-            incumbent = load_artifact(incumbent_path, dataset=dataset)
-            decision.incumbent_mae = heldout_mae(incumbent, dataset,
-                                                 eval_trips=eval_trips)
+            candidate = load_artifact(candidate_dir, dataset=dataset)
         except ArtifactError as exc:
-            # An unloadable or non-comparable incumbent cannot defend
-            # its slot, but the replacement is recorded as such.
-            decision.reasons.append(
-                f"incumbent not comparable ({exc}); replacing it")
-
-    if decision.incumbent_mae is not None:
-        bar = decision.incumbent_mae * (1.0 - min_improvement)
-        if decision.candidate_mae > bar:
-            decision.reasons.append(
-                f"incumbent held-out MAE {decision.incumbent_mae:.3f}s "
-                f"beats candidate {decision.candidate_mae:.3f}s "
-                f"(required <= {bar:.3f}s)")
+            decision.reasons.append(f"candidate artifact invalid: {exc}")
             return decision
-        decision.reasons.append(
-            f"candidate held-out MAE {decision.candidate_mae:.3f}s "
-            f"improves on incumbent {decision.incumbent_mae:.3f}s")
-    elif not decision.reasons:
-        decision.reasons.append("no incumbent deployed; promoting")
+        loaded.callback(candidate.dataset.close)
+        dataset = candidate.dataset
+        decision.candidate_mae = heldout_mae(candidate, dataset,
+                                             eval_trips=eval_trips)
+
+        incumbent_path = deployed_artifact_path(deploy_root)
+        if incumbent_path is not None:
+            try:
+                incumbent = load_artifact(incumbent_path, dataset=dataset)
+                loaded.callback(incumbent.dataset.close)
+                decision.incumbent_mae = heldout_mae(incumbent, dataset,
+                                                     eval_trips=eval_trips)
+            except ArtifactError as exc:
+                # An unloadable or non-comparable incumbent cannot defend
+                # its slot, but the replacement is recorded as such.
+                decision.reasons.append(
+                    f"incumbent not comparable ({exc}); replacing it")
+
+        if decision.incumbent_mae is not None:
+            bar = decision.incumbent_mae * (1.0 - min_improvement)
+            if decision.candidate_mae > bar:
+                decision.reasons.append(
+                    f"incumbent held-out MAE {decision.incumbent_mae:.3f}s "
+                    f"beats candidate {decision.candidate_mae:.3f}s "
+                    f"(required <= {bar:.3f}s)")
+                return decision
+            decision.reasons.append(
+                f"candidate held-out MAE {decision.candidate_mae:.3f}s "
+                f"improves on incumbent {decision.incumbent_mae:.3f}s")
+        elif not decision.reasons:
+            decision.reasons.append("no incumbent deployed; promoting")
 
     version = _version_name(candidate_dir)
     decision.deployed_path = _install(candidate_dir, deploy_root, version)

@@ -2,17 +2,18 @@
 
 Two query-path costs dominate a served OD estimate: snapping the raw
 coordinates onto road segments (a spatial-index walk per endpoint) and
-assembling the "current traffic condition" speed matrix (Section 4.5 —
-one matrix per Δt period, shared by every query departing in that
-period).  Both are highly repetitive in production traffic — popular
-pickup points recur, and all queries inside one 5-minute period need the
-same matrix — so both sit behind LRU caches here.
+encoding the "current traffic condition" (Section 4.5: the speed matrix
+of the Δt period before departure, through the traffic CNN to D_traf).
+Popular pickup points recur, so map matches sit behind an LRU cache.
+D_traf depends only on the period, its live version and the model
+weights, never on the query, so it sits in a dense per-period table
+filled once per (period, version): :class:`SpeedSliceCache`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,78 +21,104 @@ from ..datagen.speed_matrix import SpeedMatrixStore
 from ..obs.cache import LRUCache
 from ..roadnet.spatial_index import SpatialIndex
 
-class SpeedSliceCache:
-    """Normalised speed-matrix slices keyed by (period, version).
 
-    ``SpeedMatrixStore.normalized_matrix_before`` recomputes the clip and
-    scale on every call; all queries departing inside the same Δt period
-    share one slice, so the natural cache key is the period index.  A
-    bare period key is only safe while the store is immutable — once
-    ``repro.streaming`` pushes live slices, a period's matrix can change
-    under the cache, and a key that never changes would serve the stale
-    pre-update slice forever.  Keys therefore carry a per-period version
-    (plus a store-wide generation bumped on :meth:`swap_store`): an
-    :meth:`invalidate` makes the old entry unreachable — it ages out of
-    the LRU — and the next read recomputes from the live store.
+class SpeedSliceCache:
+    """D_traf rows of one model, one per Δt period of a speed store.
+
+    ``encode`` is the model's
+    :meth:`~repro.core.inference.InferencePlan.traffic_codes`.  The
+    ``(periods, d_traf)`` float64 table is allocated on the first fill
+    (1 MB for 4,032 periods at d_traf 32) and filled lazily:
+    :meth:`traffic_before` encodes the missed periods of a batch in one
+    ``encode`` call, reading each slice through
+    :meth:`normalized_matrix_before`.
+
+    Once ``repro.streaming`` pushes live slices, a period's matrix can
+    change under the table: :meth:`invalidate` clears the touched
+    periods (or every period) and the next read re-encodes them from
+    the live store.  Fills and invalidations hold one lock, so an
+    invalidation cannot land inside a fill and leave a stale row.
     """
 
-    def __init__(self, store: SpeedMatrixStore, capacity: int = 64):
-        self._store = store
-        self._lru = LRUCache(capacity)
+    def __init__(self, store: SpeedMatrixStore,
+                 encode: Callable[[np.ndarray], np.ndarray]):
+        self._encode = encode
         self._lock = threading.Lock()
-        self._generation = 0
-        self._versions: Dict[int, int] = {}
+        self.hits = 0
+        self.misses = 0
         self.invalidations = 0
+        self._reset(store)
+
+    def _reset(self, store: SpeedMatrixStore) -> None:
+        self._store = store
+        self._table: Optional[np.ndarray] = None
+        self._filled = np.zeros(store.periods, dtype=bool)
 
     @property
     def store(self) -> SpeedMatrixStore:
         return self._store
 
-    def period_of(self, t: float) -> int:
-        return self._store.period_before(t)
-
-    def _key(self, period: int) -> Tuple[int, int, int]:
-        return (period, self._generation, self._versions.get(period, 0))
-
     def normalized_matrix_before(self, t: float) -> np.ndarray:
-        period = self.period_of(t)
+        """The normalised speed matrix of the period before ``t``, read
+        from the store: what a table miss encodes."""
+        return self._store.normalized_matrix_before(t)
+
+    def traffic_before(self, times: Sequence[float]) -> np.ndarray:
+        """The D_traf rows of the periods before ``times`` (non-empty),
+        as a ``(len(times), d_traf)`` array.  Hits and misses count as
+        for one lookup per time in order."""
+        times = np.asarray(times, dtype=np.float64)
         with self._lock:
-            key = self._key(period)
-        return self._lru.get_or_compute(
-            key, lambda: self._store.normalized_matrix_at(period))
+            periods = self._store.periods_before(times)
+            filled = self._filled[periods]
+            missed = 0 if filled.all() else self._fill(
+                times[~filled], periods[~filled])
+            self.hits += len(periods) - missed
+            self.misses += missed
+            return self._table[periods]
+
+    def _fill(self, times: np.ndarray, periods: np.ndarray) -> int:
+        """Encode the distinct ``periods`` in one call; returns how many."""
+        missed, first = np.unique(periods, return_index=True)
+        codes = self._encode(np.stack(
+            [self.normalized_matrix_before(t) for t in times[first]]))
+        if self._table is None:
+            self._table = np.empty((len(self._filled), codes.shape[1]))
+        self._table[missed] = codes
+        self._filled[missed] = True
+        return len(missed)
 
     def invalidate(self, periods: Optional[Sequence[int]] = None) -> int:
-        """Version-bump cached slices: the named periods, or every
-        period (``None``).  Returns how many invalidation events were
-        recorded (one per named period; one for a full flush)."""
+        """Clear the named periods' rows, or every row (``None``).
+        Returns how many invalidation events were recorded (one per
+        named period; one for a full flush)."""
         with self._lock:
             if periods is None:
-                self._generation += 1
-                self._versions.clear()
+                self._filled[:] = False
                 self.invalidations += 1
                 return 1
             touched = [int(p) for p in periods]
-            for period in touched:
-                self._versions[period] = self._versions.get(period, 0) + 1
+            self._filled[touched] = False
             self.invalidations += len(touched)
             return len(touched)
 
     def swap_store(self, store: SpeedMatrixStore) -> None:
-        """Point the cache at a new store; every cached slice dies."""
+        """Point the table at a new store; every row dies."""
         with self._lock:
-            self._store = store
-            self._generation += 1
-            self._versions.clear()
+            self._reset(store)
             self.invalidations += 1
 
     @property
     def hit_rate(self) -> float:
-        return self._lru.hit_rate
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, float]:
-        stats = self._lru.stats()
-        stats["invalidations"] = self.invalidations
-        return stats
+        return {"periods": len(self._filled),
+                "filled": int(self._filled.sum()),
+                "hits": self.hits, "misses": self.misses,
+                "hit_rate": self.hit_rate,
+                "invalidations": self.invalidations}
 
 
 class ODMatchCache:

@@ -2,8 +2,9 @@
 
 Wires the pieces of ``repro.serving`` into one query-facing object:
 
-* cached map matching (``ODMatchCache``) and cached speed-matrix slices
-  (``SpeedSliceCache``) in front of the model path;
+* cached map matching (``ODMatchCache``) and a per-period table of the
+  traffic CNN's D_traf rows (``SpeedSliceCache``) in front of the model
+  path;
 * a :class:`MicroBatcher` coalescing concurrent single queries into
   vectorised ``estimate_from_ods`` calls;
 * graceful degradation to :class:`HistoricalAverageFallback` when the
@@ -17,9 +18,10 @@ M_O and M_E — no trajectory ever enters a served query.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +53,6 @@ class ServiceConfig:
     max_batch: int = 128
     max_pending: int = 0
     od_cache_size: int = 4096
-    slice_cache_size: int = 64
     match_quantize_metres: float = 0.0
     fallback_band_ratios: Tuple[float, float] = (0.5, 2.0)
     # Tier 1 of the degradation ladder: when the model path raises, try
@@ -97,6 +98,15 @@ class ServingResponse:
         }
 
 
+class _ModelPath(NamedTuple):
+    """What the model tier reads, replaced as one reference on a swap so
+    no batch pairs one model with another model's traffic codes."""
+
+    predictor: TravelTimePredictor
+    od_cache: ODMatchCache
+    slice_cache: Optional[SpeedSliceCache]
+
+
 class TravelTimeService(Instrumented):
     """Production-style front door over a (possibly absent) predictor.
 
@@ -127,7 +137,6 @@ class TravelTimeService(Instrumented):
             raise ValueError("need a predictor or a dataset")
         self.tracer = tracer
         self.config = config or ServiceConfig()
-        self.predictor = predictor
         self.dataset = dataset if dataset is not None else predictor.dataset
         self.metrics = metrics or MetricsRegistry()
         self.fallback = HistoricalAverageFallback(
@@ -137,22 +146,20 @@ class TravelTimeService(Instrumented):
         # training-time store in a LiveSpeedStore overlay; until then
         # every consumer reads the static store directly.
         self._live_store: Optional[LiveSpeedStore] = None
+        # Serialises the writers of that state (live speeds, swaps).
+        self._write_lock = threading.Lock()
 
-        self.od_cache: Optional[ODMatchCache] = None
-        self.slice_cache: Optional[SpeedSliceCache] = None
+        self._path: Optional[_ModelPath] = None
         self.route_baseline: Optional[RouteTimeBaseline] = None
         if predictor is not None:
-            self.od_cache = ODMatchCache(
-                predictor.index, capacity=self.config.od_cache_size,
-                quantize_metres=self.config.match_quantize_metres)
+            self._path = self._model_path(predictor)
             self.metrics.register_gauge("od_match_cache",
-                                        self.od_cache.stats)
-            if predictor.model.config.use_external_features:
-                self.slice_cache = SpeedSliceCache(
-                    self.dataset.speed_store,
-                    capacity=self.config.slice_cache_size)
-                self.metrics.register_gauge("speed_slice_cache",
-                                            self.slice_cache.stats)
+                                        lambda: self.od_cache.stats())
+            if self.slice_cache is not None:
+                self.metrics.register_gauge(
+                    "speed_slice_cache",
+                    lambda: (self.slice_cache.stats()
+                             if self.slice_cache else {}))
             if self.config.route_fallback:
                 self.route_baseline = RouteTimeBaseline(
                     self.dataset.net, lambda: self.speed_store)
@@ -183,6 +190,31 @@ class TravelTimeService(Instrumented):
         self.batcher.stop()
 
     @property
+    def predictor(self) -> Optional[TravelTimePredictor]:
+        return self._path.predictor if self._path else None
+
+    @property
+    def od_cache(self) -> Optional[ODMatchCache]:
+        return self._path.od_cache if self._path else None
+
+    @property
+    def slice_cache(self) -> Optional[SpeedSliceCache]:
+        """The model's D_traf table; ``None`` when it reads no traffic."""
+        return self._path.slice_cache if self._path else None
+
+    def _model_path(self, predictor: TravelTimePredictor) -> _ModelPath:
+        table = None
+        if predictor.plan.uses_speed_matrices:
+            table = SpeedSliceCache(self.speed_store,
+                                    predictor.plan.traffic_codes)
+        return _ModelPath(
+            predictor,
+            ODMatchCache(predictor.index,
+                         capacity=self.config.od_cache_size,
+                         quantize_metres=self.config.match_quantize_metres),
+            table)
+
+    @property
     def degraded(self) -> bool:
         """True when no model path exists (fallback-only service)."""
         return self.predictor is None
@@ -199,27 +231,28 @@ class TravelTimeService(Instrumented):
         """Overlay freshly estimated speed-matrix slices.
 
         ``slices`` maps period index → raw mean-speed matrix (m/s, grid
-        shaped).  The first call swaps the slice cache and the route
-        baseline onto a :class:`LiveSpeedStore` overlay; every call
-        version-bumps the touched periods' cache keys so no stale slice
-        survives (counted in ``serve.cache.speed.invalidations``).
-        Returns the number of slices applied.
+        shaped).  The first call swaps the traffic-code table and the
+        route baseline onto a :class:`LiveSpeedStore` overlay; every
+        call clears the touched periods' rows so no stale code survives
+        (counted in ``serve.cache.speed.invalidations``).  Returns the
+        number of slices applied.
         """
         if not slices:
             return 0
-        if self._live_store is None:
-            self._live_store = LiveSpeedStore(self.dataset.speed_store)
-            if self.slice_cache is not None:
-                self.slice_cache.swap_store(self._live_store)
+        with self._write_lock:
+            table = self.slice_cache
+            if self._live_store is None:
+                self._live_store = LiveSpeedStore(self.dataset.speed_store)
+                if table is not None:
+                    table.swap_store(self._live_store)
+                    self.metrics.counter(
+                        "serve.cache.speed.invalidations").inc()
+            for period, matrix in slices.items():
+                self._live_store.update_slice(int(period), matrix)
+            if table is not None:
+                invalidated = table.invalidate([int(p) for p in slices])
                 self.metrics.counter(
-                    "serve.cache.speed.invalidations").inc()
-        for period, matrix in slices.items():
-            self._live_store.update_slice(int(period), matrix)
-        if self.slice_cache is not None:
-            invalidated = self.slice_cache.invalidate(
-                [int(p) for p in slices])
-            self.metrics.counter(
-                "serve.cache.speed.invalidations").inc(invalidated)
+                    "serve.cache.speed.invalidations").inc(invalidated)
         self.metrics.counter("serve.speed_updates").inc(len(slices))
         return len(slices)
 
@@ -229,22 +262,14 @@ class TravelTimeService(Instrumented):
         The cluster's workers reload from the promotion gate's symlink
         themselves; a bare :class:`TravelTimeService` is swapped by its
         owner — the streaming controller does this after a promotion.
-        Caches are rebound to the new predictor's index; applied live
+        The map-match cache and the traffic-code table start afresh for
+        the new predictor (its codes are its own weights'); applied live
         speed slices survive the swap.
         """
         if predictor is None:
             raise ValueError("swap_predictor needs a predictor")
-        self.predictor = predictor
-        self.od_cache = ODMatchCache(
-            predictor.index, capacity=self.config.od_cache_size,
-            quantize_metres=self.config.match_quantize_metres)
-        if predictor.model.config.use_external_features:
-            if self.slice_cache is None:
-                self.slice_cache = SpeedSliceCache(
-                    self.speed_store,
-                    capacity=self.config.slice_cache_size)
-        else:
-            self.slice_cache = None
+        with self._write_lock:
+            self._path = self._model_path(predictor)
         if self.config.route_fallback and self.route_baseline is None:
             self.route_baseline = RouteTimeBaseline(
                 self.dataset.net, lambda: self.speed_store)
@@ -342,18 +367,18 @@ class TravelTimeService(Instrumented):
 
     def _model_answers(self, queries: List[Query]
                        ) -> List[ServingResponse]:
+        path = self._path
         with self.tracer.span("serve.match", queries=len(queries)):
             ods = match_queries(queries, self.dataset,
-                                self.od_cache.nearest_edges)
-        mats = None
-        if self.slice_cache is not None:
+                                path.od_cache.nearest_edges)
+        traffic = None
+        if path.slice_cache is not None:
             with self.tracer.span("serve.speed_slices"):
-                mats = np.stack([
-                    self.slice_cache.normalized_matrix_before(
-                        od.depart_time)
-                    for od in ods])
+                traffic = path.slice_cache.traffic_before(
+                    [od.depart_time for od in ods])
         with self.tracer.span("serve.predict", queries=len(queries)):
-            estimates = self.predictor.estimate_from_ods(ods, mats)
+            estimates = path.predictor.estimate_from_ods(ods,
+                                                         traffic=traffic)
         return [ServingResponse(
                     seconds=e.seconds, lower=e.lower, upper=e.upper,
                     origin_edge=e.origin_edge,

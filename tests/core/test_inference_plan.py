@@ -75,6 +75,34 @@ def test_plan_matches_oracle(trained, tiny_dataset, name, size):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name in CONFIGS if "-ext" in name))
+def test_traffic_rows_match_oracle(trained, tiny_dataset, name):
+    """The D_traf-rows path (what the serving table feeds) against the
+    oracle fed the matrices themselves."""
+    model = trained[name].model
+    ods, mats = _batch(tiny_dataset, 48)
+    plan = InferencePlan.compile(model)
+    traffic = plan.traffic_codes(mats) if plan.uses_speed_matrices else None
+    if traffic is not None:
+        assert traffic.shape == (48, model.config.d_traf)
+    got = plan.predict(ods, traffic=traffic)
+    np.testing.assert_allclose(got, model.predict(ods, mats),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_traffic_input_is_checked(trained, tiny_dataset):
+    ods, mats = _batch(tiny_dataset, 4)
+    plan = InferencePlan.compile(trained["lstm-ext1"].model)
+    rows = plan.traffic_codes(mats)
+    with pytest.raises(ValueError, match="not both"):
+        plan.predict(ods, mats, traffic=rows)
+    with pytest.raises(ValueError, match="shape"):
+        plan.predict(ods, traffic=rows[:3])
+    with pytest.raises(ValueError, match="no traffic condition"):
+        InferencePlan.compile(trained["lstm-ext0"].model).traffic_codes(mats)
+
+
 def test_batchnorm_statistics_are_trained(trained):
     bn = trained["lstm-ext1"].model.od_encoder.external_encoder.cnn \
         .block1.bn

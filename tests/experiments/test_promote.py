@@ -1,5 +1,6 @@
 """Promotion gate: held-out comparison, atomic deploys, refusals."""
 
+import importlib
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from repro.experiments import (
     promote,
 )
 from repro.serving import load_artifact
+from repro.serving.state import ServingDataset
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +121,63 @@ class TestPromotionEdgeCases:
         value = heldout_mae(predictor, two_runs["dataset"])
         assert value > 0
         assert value == two_runs["better"].metrics["test_mae"]
+
+
+class TestBundleMapsReleased:
+    """``promote`` closes the bundle map of every predictor it loads,
+    on every path, once the decision is made."""
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        module = importlib.import_module("repro.experiments.promote")
+        loaded, closed = [], []
+        load, close = module.load_artifact, ServingDataset.close
+
+        def counting_load(*args, **kwargs):
+            predictor = load(*args, **kwargs)
+            loaded.append(predictor.dataset)
+            return predictor
+
+        def counting_close(state):
+            closed.append(state)
+            close(state)
+
+        monkeypatch.setattr(module, "load_artifact", counting_load)
+        monkeypatch.setattr(ServingDataset, "close", counting_close)
+        return loaded, closed
+
+    @staticmethod
+    def _each_closed_once(loaded, closed, count):
+        assert len(loaded) == count
+        assert sorted(map(id, closed)) == sorted(map(id, loaded))
+
+    def test_promoted_and_refused(self, two_runs, tmp_path, tally):
+        deploy = str(tmp_path / "deploy")
+        data = two_runs["dataset"]
+        assert promote(two_runs["better"].artifact_dir, deploy,
+                       dataset=data).promoted
+        self._each_closed_once(*tally, 1)
+        refused = promote(two_runs["worse"].artifact_dir, deploy,
+                          dataset=data)
+        assert not refused.promoted
+        self._each_closed_once(*tally, 3)
+
+    def test_incumbent_artifact_error(self, two_runs, tmp_path, tally):
+        deploy = str(tmp_path / "deploy")
+        data = two_runs["dataset"]
+        installed = promote(two_runs["worse"].artifact_dir, deploy,
+                            dataset=data).deployed_path
+        with open(os.path.join(installed, "weights.npz"), "ab") as handle:
+            handle.write(b"x")
+        decision = promote(two_runs["better"].artifact_dir, deploy,
+                           dataset=data)
+        assert decision.promoted
+        assert any("incumbent not comparable" in r
+                   for r in decision.reasons)
+        self._each_closed_once(*tally, 2)
+
+    def test_candidate_artifact_error(self, tmp_path, tally):
+        decision = promote(str(tmp_path / "missing"),
+                           str(tmp_path / "deploy"))
+        assert not decision.promoted
+        self._each_closed_once(*tally, 0)

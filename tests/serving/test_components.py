@@ -67,24 +67,57 @@ class TestODMatchCache:
         assert cache.stats()["hits"] == 1
 
 
+def _counting_encoder(calls):
+    """A stand-in for ``InferencePlan.traffic_codes``: each slice's
+    flattened cells are its row, so a row is the slice it encoded."""
+    def encode(mats):
+        calls.append(len(mats))
+        return mats.reshape(len(mats), -1).copy()
+    return encode
+
+
 class TestSpeedSliceCache:
     def test_same_period_shares_one_slice(self, serving_dataset):
         store = serving_dataset.speed_store
-        cache = SpeedSliceCache(store, capacity=8)
+        calls = []
+        cache = SpeedSliceCache(store, _counting_encoder(calls))
         period = store.config.period_seconds
         t = 10 * period + 1.0
-        a = cache.normalized_matrix_before(t)
-        b = cache.normalized_matrix_before(t + period * 0.5)
-        assert a is b                       # identical object: cache hit
-        assert np.array_equal(a, store.normalized_matrix_before(t))
+        a = cache.traffic_before([t])
+        b = cache.traffic_before([t + period * 0.5])
+        assert calls == [1]                 # encoded once: a table hit
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[0],
+                              store.normalized_matrix_before(t).ravel())
         assert cache.stats()["hits"] == 1
 
     def test_different_periods_miss(self, serving_dataset):
-        cache = SpeedSliceCache(serving_dataset.speed_store, capacity=8)
+        calls = []
+        cache = SpeedSliceCache(serving_dataset.speed_store,
+                                _counting_encoder(calls))
         period = serving_dataset.speed_store.config.period_seconds
-        cache.normalized_matrix_before(5 * period)
-        cache.normalized_matrix_before(9 * period)
+        cache.traffic_before([5 * period])
+        cache.traffic_before([9 * period])
         assert cache.stats()["misses"] == 2
+        assert calls == [1, 1]
+
+    def test_batch_encodes_distinct_misses_in_one_call(self,
+                                                       serving_dataset):
+        store = serving_dataset.speed_store
+        calls = []
+        cache = SpeedSliceCache(store, _counting_encoder(calls))
+        period = store.config.period_seconds
+        times = [5 * period, 9 * period, 5 * period + 2.0, 30 * period]
+        rows = cache.traffic_before(times)
+        assert calls == [3]
+        for t, row in zip(times, rows):
+            assert np.array_equal(
+                row, store.normalized_matrix_before(t).ravel())
+        cache.traffic_before(times[::-1])
+        assert calls == [3]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["filled"]) == (5, 3, 3)
+        assert stats["periods"] == store.periods
 
 
 class TestMicroBatcher:

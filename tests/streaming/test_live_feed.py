@@ -11,44 +11,61 @@ from repro.streaming import LiveSpeedFeed
 from repro.trajectory.model import Query
 
 
+def _counting_flatten(calls):
+    """A stand-in encoder whose row is the slice it encoded."""
+    def encode(mats):
+        calls.append(len(mats))
+        return mats.reshape(len(mats), -1).copy()
+    return encode
+
+
 class TestVersionedSliceCache:
     def test_live_update_invalidates_only_touched_period(
             self, stream_dataset):
         live = LiveSpeedStore(stream_dataset.speed_store)
-        cache = SpeedSliceCache(live, capacity=16)
+        calls = []
+        cache = SpeedSliceCache(live, _counting_flatten(calls))
         dt = live.config.period_seconds
         t = 5 * dt + 1.0
-        period = cache.period_of(t)
-        before = cache.normalized_matrix_before(t)
-        assert cache.normalized_matrix_before(t) is before   # cached
+        period = live.period_before(t)
+        before = cache.traffic_before([t])
+        assert np.array_equal(cache.traffic_before([t]), before)
+        assert calls == [1]                                  # cached
 
         live.update_slice(period, live.matrix_at(period) * 0.5)
-        # The key is versioned, not the entry: a stale read persists
+        # The table does not watch the store: a stale read persists
         # until the publisher invalidates the touched period.
-        assert cache.normalized_matrix_before(t) is before
+        assert np.array_equal(cache.traffic_before([t]), before)
         cache.invalidate([period])
-        after = cache.normalized_matrix_before(t)
-        assert after is not before
+        after = cache.traffic_before([t])
+        assert calls == [1, 1]
         assert not np.allclose(after, before)
+        assert np.array_equal(after[0],
+                              live.normalized_matrix_before(t).ravel())
         assert cache.invalidations == 1
 
-        # An untouched period keeps its cached entry across the bump.
+        # An untouched period keeps its row across the invalidation.
         other_t = 20 * dt + 1.0
-        other = cache.normalized_matrix_before(other_t)
+        other = cache.traffic_before([other_t])
         cache.invalidate([period])
-        assert cache.normalized_matrix_before(other_t) is other
+        assert np.array_equal(cache.traffic_before([other_t]), other)
+        assert calls == [1, 1, 1]
 
     def test_full_flush_and_swap(self, stream_dataset):
         store = stream_dataset.speed_store
-        cache = SpeedSliceCache(store, capacity=16)
+        calls = []
+        cache = SpeedSliceCache(store, _counting_flatten(calls))
         t = 3 * store.config.period_seconds + 1.0
-        first = cache.normalized_matrix_before(t)
-        assert cache.invalidate() == 1          # generation bump
-        assert cache.normalized_matrix_before(t) is not first
+        first = cache.traffic_before([t])
+        assert cache.invalidate() == 1          # every row cleared
+        np.testing.assert_array_equal(cache.traffic_before([t]), first)
+        assert calls == [1, 1]
         cache.swap_store(LiveSpeedStore(store))
         assert cache.invalidations == 2
-        np.testing.assert_allclose(cache.normalized_matrix_before(t),
+        np.testing.assert_allclose(cache.traffic_before([t]),
                                    first)       # same data, new store
+        assert calls == [1, 1, 1]
+        assert cache.store is not store
 
 
 class TestServiceLiveSpeeds:
