@@ -20,8 +20,7 @@ Four measurements, one fail-closed JSON:
   to the one-shot build (byte-identity is the pipeline's contract).
 
 Results land in ``BENCH_datagen.json`` (schema
-``repro.bench.datagen/v1``, validated by
-``repro.datagen.validate_bench_datagen``).
+``repro.bench.datagen/v1``, checked by ``benchmarks.benchfile``).
 """
 
 import json
@@ -33,14 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datagen import (
-    DatasetSpec, build, dataset_fingerprint, validate_bench_datagen,
-)
-from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
+from repro.datagen import DatasetSpec, build, dataset_fingerprint
 from repro.mapmatching import HMMMapMatcher, match_many
 from repro.mapmatching.candidates import candidates_for_trajectory
 from repro.roadnet import grid_city
 
+from .benchfile import write
 from .conftest import bench_scale, print_header
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_datagen.json"
@@ -176,7 +173,7 @@ def test_datagen_pipeline_bench(tmp_path):
                          == dataset_fingerprint(chunked))
 
     payload = {
-        "schema": BENCH_DATAGEN_SCHEMA,
+        "schema": "repro.bench.datagen/v1",
         "bench": "datagen_pipeline",
         "scale": scale,
         "workload": {"city": "mega-chengdu", "trips": trips,
@@ -210,7 +207,5 @@ def test_datagen_pipeline_bench(tmp_path):
           f"{serial_s:.2f}s -> {parallel_s:.2f}s "
           f"({pool_speedup:.2f}x, floor 2.0x)")
 
-    validate_bench_datagen(payload)        # fail-closed: floors + parity
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
+    write(RESULTS_PATH, payload)        # fail-closed: floors + parity
     print(f"  wrote {RESULTS_PATH.name}")

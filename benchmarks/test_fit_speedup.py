@@ -8,22 +8,21 @@ per-op oracles — and the wall-time ratio must clear the floor: >= 3x at
 the default ``REPRO_BENCH_SCALE`` (>= 2x when the scale is reduced,
 where fixed overheads eat into the ratio).
 
-Results land in ``BENCH_fit.json`` at the repo root (schema checked by
-``repro.nn.validate_bench_fit``), including the per-phase
+Results land in ``BENCH_fit.json`` at the repo root (checked by
+``benchmarks.benchfile``), including the per-phase
 forward/backward/optimizer breakdown extracted from the trainer's trace
 spans.
 """
 
-import json
 import time
 from pathlib import Path
 
 from repro.core import DeepODConfig, DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build
-from repro.nn import validate_bench_fit
 from repro.nn.engine import _as_reference
 from repro.obs import Tracer
 
+from .benchfile import write
 from .conftest import bench_scale, print_header
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fit.json"
@@ -106,7 +105,7 @@ def test_fit_engine_speedup():
           f"{ref['val_mae']:.3f}s")
     print(f"fit speedup: {speedup:.1f}x (floor {floor:.0f}x)")
 
-    payload = validate_bench_fit({
+    write(RESULTS_PATH, {
         "bench": "fit_engine_speedup",
         "scale": scale,
         "workload": {"trips": trips, "steps": steps, "batch_size": 64,
@@ -118,7 +117,6 @@ def test_fit_engine_speedup():
         "speedup": speedup,
         "floor": floor,
     })
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Same-seed runs through either engine must land on the same model.
     assert abs(fast["val_mae"] - ref["val_mae"]) <= \

@@ -7,16 +7,16 @@ entries, and re-runs the (parse-free) A-series rules.  The wall-time
 ratio is the whole point of the cache, so it is asserted, not just
 reported.
 
-Results land in ``BENCH_lint.json`` at the repo root, schema-checked by
-``repro.analysis.validate_bench_lint``.
+Results land in ``BENCH_lint.json`` at the repo root, checked by
+``benchmarks.benchfile``.
 """
 
-import json
 import time
 from pathlib import Path
 
-from repro.analysis import BENCH_LINT_SCHEMA, lint_project, validate_bench_lint
+from repro.analysis import lint_project
 
+from .benchfile import write
 from .conftest import print_header
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,9 +62,9 @@ def test_lint_cache_speedup(tmp_path):
     print(f"warm: {warm_s * 1e3:8.1f} ms  (hash + cached records)")
     print(f"speedup: {speedup:.1f}x (floor {FLOOR:.0f}x)")
 
-    payload = validate_bench_lint({
+    write(RESULTS_PATH, {
         "bench": "lint_cache_speedup",
-        "schema": BENCH_LINT_SCHEMA,
+        "schema": "repro.bench.lint/v1",
         "files": cold.stats["files"],
         "findings": len(cold.findings),
         "cold_s": cold_s,
@@ -76,7 +76,6 @@ def test_lint_cache_speedup(tmp_path):
         "speedup": speedup,
         "floor": FLOOR,
     })
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     assert speedup >= FLOOR, (
         f"warm lint only {speedup:.1f}x faster than cold "

@@ -12,7 +12,7 @@ Subcommands::
     python -m repro.cli serve   --artifact model/ --port 8321
     python -m repro.cli serve   --artifact deploy/current --workers 4
     python -m repro.cli loadtest --artifact model/ --workers 4 \\
-                                 --rps 100 --out BENCH_serving.json
+                                 --rps 100 --out loadtest.json
     python -m repro.cli stream  --city mini-chengdu --trips 300 \\
                                 --deploy deploy/ --shift-factor 1.8
     python -m repro.cli compare --city mini-xian --trips 2000 \\
@@ -33,10 +33,10 @@ bare weights file.  ``serve --workers N`` (N > 1) swaps the
 single-process service for the sharded multi-process
 :class:`~repro.serving.ServingCluster` — point ``--artifact`` at a
 promotion gate's ``current`` symlink and workers hot-swap newly
-promoted models without dropping traffic.  ``loadtest`` replays a
-seeded synthetic query stream against a cluster at controlled RPS and
-writes the ``BENCH_serving.json`` SLO document (p50/p95/p99 latency,
-saturation throughput, multi-worker overlap).  The ``exp`` group
+promoted models without dropping traffic.  ``loadtest`` measures
+saturation throughput, one process against a cluster, then replays a
+seeded synthetic query stream against the cluster at controlled RPS
+and reports p50/p95/p99 latency and shed/failed counts.  The ``exp`` group
 drives the experiment pipeline
 (``repro.experiments``): checkpointed registry runs, parallel sweep
 grids, and gated promotion of the best artifact into a deployment
@@ -332,24 +332,20 @@ def cmd_artifact_upgrade(args) -> int:
 
 
 def cmd_loadtest(args) -> int:
-    """Run the serving load harness and write ``BENCH_serving.json``."""
+    """Run the serving load harness and write its report."""
     from .serving import ArtifactError
-    from .serving.cluster import run_load_test, write_bench
+    from .serving.cluster import run_load_test
     from .obs import MetricsRegistry
     registry = MetricsRegistry()
     try:
         payload = run_load_test(
             args.artifact, workers=args.workers, queries=args.queries,
-            rps=args.rps, seed=args.seed, stall_ms=args.stall_ms,
-            floor=args.floor, max_batch=args.max_batch,
+            rps=args.rps, seed=args.seed, max_batch=args.max_batch,
             routing=args.routing, metrics=registry)
     except ArtifactError as exc:
         raise SystemExit(f"invalid artifact: {exc}")
-    overlap, model = payload["overlap"], payload["model"]
+    model = payload["model"]
     latency = payload["open_loop"]["latency_ms"]
-    print(f"overlap ({args.workers} workers, {args.stall_ms:.0f}ms stall): "
-          f"{overlap['single_qps']:.1f} -> {overlap['cluster_qps']:.1f} "
-          f"qps ({overlap['speedup']:.2f}x, floor {overlap['floor']:.1f}x)")
     print(f"model saturation: {model['single_qps']:.1f} qps single, "
           f"{model['cluster_qps']:.1f} qps cluster "
           f"({model['speedup']:.2f}x on {payload['cpus']} cpu(s))")
@@ -359,13 +355,9 @@ def cmd_loadtest(args) -> int:
           f"shed {payload['open_loop']['shed']} "
           f"failed {payload['open_loop']['failed']}")
     if args.out:
-        write_bench(args.out, payload)
-        print(f"bench written to {args.out}")
+        write_json(args.out, payload)
+        print(f"report written to {args.out}")
     _export_obs(args, None, snapshot=registry.snapshot())
-    if args.assert_floor and overlap["speedup"] < overlap["floor"]:
-        print(f"FAIL: overlap speedup {overlap['speedup']:.2f}x below "
-              f"floor {overlap['floor']:.1f}x", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -843,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_upgrade.set_defaults(func=cmd_artifact_upgrade)
 
     p_loadtest = sub.add_parser(
-        "loadtest", help="serving load harness -> BENCH_serving.json")
+        "loadtest", help="serving load harness: saturation + open loop")
     p_loadtest.add_argument("--artifact", required=True,
                             help="artifact directory (or deploy/current)")
     p_loadtest.add_argument("--workers", type=int, default=4,
@@ -853,23 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadtest.add_argument("--rps", type=float, default=100.0,
                             help="open-loop arrival rate")
     p_loadtest.add_argument("--seed", type=int, default=0)
-    p_loadtest.add_argument("--stall-ms", type=float, default=50.0,
-                            dest="stall_ms",
-                            help="injected per-batch work for the "
-                                 "overlap measurement (model-latency "
-                                 "stand-in; see WorkerOptions)")
-    p_loadtest.add_argument("--floor", type=float, default=2.0,
-                            help="overlap speedup floor recorded in the "
-                                 "bench document")
-    p_loadtest.add_argument("--assert-floor", action="store_true",
-                            dest="assert_floor",
-                            help="exit 1 if overlap speedup < --floor")
     p_loadtest.add_argument("--max-batch", type=int, default=16,
                             dest="max_batch")
     p_loadtest.add_argument("--routing", default="region",
                             choices=["region", "round_robin"])
     p_loadtest.add_argument("--out", default="",
-                            help="write BENCH_serving.json here")
+                            help="write the JSON report here")
     p_loadtest.add_argument("--metrics-out", default="",
                             dest="metrics_out", metavar="OUT",
                             help="write the harness metrics snapshot "

@@ -15,7 +15,7 @@ from .engine import (
     gru_sequence_fused,
     conv2d_fused,
     batchnorm2d_fused, conv_bn_relu_fused, interval_resnet_fused,
-    mlp2_fused, validate_bench_fit, validate_bench_fit_file,
+    mlp2_fused,
 )
 from .functional import (
     relu, sigmoid, tanh, softmax, log_softmax, dropout,
@@ -48,7 +48,6 @@ __all__ = [
     "gru_sequence_fused",
     "conv2d_fused", "batchnorm2d_fused", "conv_bn_relu_fused",
     "interval_resnet_fused", "mlp2_fused",
-    "validate_bench_fit", "validate_bench_fit_file",
     "relu", "sigmoid", "tanh", "softmax", "log_softmax", "dropout",
     "mae_loss", "mse_loss", "euclidean_loss", "smooth_l1_loss",
     "mae_loss_reference", "mse_loss_reference",

@@ -26,15 +26,11 @@ What "fused" means here:
 Saved-activation buffers keep the *parameter* dtype (float64 for the
 default ``repro.nn`` zone, float32 when a model is cast down) — the
 fast engine never silently upcasts, which the recurrent layers assert.
-
-``BENCH_fit.json`` — written by ``benchmarks/test_fit_speedup.py`` —
-is validated fail-closed by :func:`validate_bench_fit`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -894,59 +890,3 @@ def mlp2_fused(x: Tensor, w1: Tensor, b1: Tensor,
         return dx, dw1, db1, dw2, db2
 
     return Tensor._make(out, (x, w1, b1, w2, b2), backward)
-
-
-# ----------------------------------------------------------------------
-# BENCH_fit.json schema
-# ----------------------------------------------------------------------
-_PHASE_KEYS = ("forward_s", "backward_s", "optimizer_s")
-_ENGINE_KEYS = ("fit_s",) + _PHASE_KEYS
-
-
-def validate_bench_fit(payload: Dict) -> Dict:
-    """Validate a ``BENCH_fit.json`` document; returns it unchanged."""
-    if not isinstance(payload, dict):
-        raise ValueError("bench payload must be a JSON object")
-    if payload.get("bench") != "fit_engine_speedup":
-        raise ValueError("bench must be 'fit_engine_speedup' "
-                         f"(got {payload.get('bench')!r})")
-    for key in ("scale", "speedup", "floor"):
-        if not isinstance(payload.get(key), (int, float)):
-            raise ValueError(f"{key} must be a number")
-    workload = payload.get("workload")
-    if not isinstance(workload, dict):
-        raise ValueError("workload must be an object")
-    for key in ("trips", "steps", "batch_size", "sequence_encoder"):
-        if key not in workload:
-            raise ValueError(f"workload missing {key!r}")
-    for engine in ("reference", "fast"):
-        stats = payload.get(engine)
-        if not isinstance(stats, dict):
-            raise ValueError(f"{engine} must be an object")
-        for key in _ENGINE_KEYS:
-            if not isinstance(stats.get(key), (int, float)):
-                raise ValueError(f"{engine}.{key} must be a number")
-            if stats[key] < 0:
-                raise ValueError(f"{engine}.{key} must be >= 0")
-        phase_sum = sum(stats[k] for k in _PHASE_KEYS)
-        if phase_sum > stats["fit_s"] * 1.5:
-            raise ValueError(
-                f"{engine} phase breakdown exceeds total fit time")
-    if payload["speedup"] < payload["floor"]:
-        raise ValueError(
-            f"recorded speedup {payload['speedup']:.2f}x below the "
-            f"{payload['floor']:.2f}x floor")
-    if "parity" in payload:
-        parity = payload["parity"]
-        if not isinstance(parity, dict):
-            raise ValueError("parity must be an object")
-        for key in ("fast_mae", "reference_mae"):
-            if not isinstance(parity.get(key), (int, float)):
-                raise ValueError(f"parity.{key} must be a number")
-    return payload
-
-
-def validate_bench_fit_file(path: str) -> Dict:
-    """Load and validate a ``BENCH_fit.json`` file (CI entry point)."""
-    with open(path) as handle:
-        return validate_bench_fit(json.load(handle))

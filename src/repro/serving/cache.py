@@ -47,9 +47,6 @@ class SpeedSliceCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self._reset(store)
-
-    def _reset(self, store: SpeedMatrixStore) -> None:
         self._store = store
         self._table: Optional[np.ndarray] = None
         self._filled = np.zeros(store.periods, dtype=bool)
@@ -103,10 +100,15 @@ class SpeedSliceCache:
             return len(touched)
 
     def swap_store(self, store: SpeedMatrixStore) -> None:
-        """Point the table at a new store; every row dies."""
+        """Point the table at ``store``, keeping every row.
+
+        ``store`` must answer every period as the current store does,
+        as a fresh :class:`~repro.datagen.LiveSpeedStore` overlay of it
+        does (same base matrices, same normalisation scale).  A period
+        whose slice changes later is cleared by :meth:`invalidate`.
+        """
         with self._lock:
-            self._reset(store)
-            self.invalidations += 1
+            self._store = store
 
     @property
     def hit_rate(self) -> float:

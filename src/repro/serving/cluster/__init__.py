@@ -13,14 +13,13 @@
     restart, load shedding, TEMP-fallback degradation.
 ``loadgen``
     The load-test harness behind ``cli loadtest`` and
-    ``benchmarks/test_serving_load.py`` (``BENCH_serving.json``).
+    ``benchmarks/test_serving_load.py``: saturation throughput, single
+    process vs cluster, and open-loop latency at a controlled RPS.
 """
 
 from .cluster import ClusterConfig, ServingCluster
 from .loadgen import (
-    build_bench_payload, measure_saturation, measure_submit_throughput,
-    run_load_test, run_open_loop, synthetic_queries, validate_bench_file,
-    validate_bench_serving, write_bench,
+    measure_saturation, run_load_test, run_open_loop, synthetic_queries,
 )
 from .router import ROUTING_POLICIES, ShardRouter
 from .worker import WorkerOptions
@@ -28,8 +27,6 @@ from .worker import WorkerOptions
 __all__ = [
     "ClusterConfig", "ServingCluster",
     "ROUTING_POLICIES", "ShardRouter", "WorkerOptions",
-    "build_bench_payload", "measure_saturation",
-    "measure_submit_throughput", "run_load_test", "run_open_loop",
-    "synthetic_queries", "validate_bench_file", "validate_bench_serving",
-    "write_bench",
+    "measure_saturation", "run_load_test", "run_open_loop",
+    "synthetic_queries",
 ]

@@ -59,9 +59,6 @@ class ClusterConfig:
     ``max_pending`` bounds each shard's admission queue (0 = unbounded);
     ``saturation_fallback`` answers shed queries from the TEMP fallback
     (degraded, never failed) instead of raising ``SaturatedError``.
-    ``batch_stall_s`` injects fixed per-batch work in every worker —
-    the load harness's stand-in for model latency on bigger hardware
-    (see :class:`WorkerOptions`); production configs leave it 0.
     """
 
     num_workers: int = 2
@@ -73,7 +70,6 @@ class ClusterConfig:
     dispatch_timeout_s: float = 30.0
     restart_limit: int = 3
     swap_poll_s: float = 0.05
-    batch_stall_s: float = 0.0
     service: Optional[ServiceConfig] = None
 
     def __post_init__(self):
@@ -91,7 +87,6 @@ class ClusterConfig:
 
     def worker_options(self) -> WorkerOptions:
         return WorkerOptions(swap_poll_s=self.swap_poll_s,
-                             batch_stall_s=self.batch_stall_s,
                              service=self.service)
 
 

@@ -9,34 +9,25 @@ into a repeatable measurement:
   drawn from a dataset's held-out trips with jittered departure times;
 * :func:`measure_saturation` — closed-loop chunked ``query_batch``
   driving, the maximum sustained throughput of a target;
-* :func:`measure_submit_throughput` — closed-loop driving of the
-  ``submit`` path (per-shard micro-batchers pipelining batches), used
-  for the multi-worker overlap floor;
 * :func:`run_open_loop` — controlled-RPS arrivals with per-query
   completion latencies recorded into a ``repro.obs.metrics`` histogram
   (p50/p95/p99 come from its standard summary);
-* :func:`build_bench_payload` / :func:`validate_bench_serving` /
-  :func:`write_bench` — the ``BENCH_serving.json`` document
-  (schema ``repro.bench.serving/v1``, fail-closed validation) that
-  makes the serving perf trajectory visible across PRs.
+* :func:`run_load_test` — both of them against one artifact: single
+  process vs a sharded cluster, and an open-loop replay of the cluster.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ...atomic import write_json
 from ...obs.metrics import MetricsRegistry
 from ...trajectory.model import Query
 from ..artifact import load_artifact, read_manifest
 from ..errors import SaturatedError
-
-BENCH_SCHEMA = "repro.bench.serving/v1"
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +71,6 @@ def measure_saturation(target, queries: Sequence[Query],
     return {"queries": len(queries), "wall_s": wall_s,
             "throughput_qps": len(queries) / wall_s,
             "degraded": degraded}
-
-
-def measure_submit_throughput(cluster, queries: Sequence[Query]
-                              ) -> Dict[str, float]:
-    """Closed-loop throughput of the ``submit`` path: every query is
-    enqueued up front and the per-shard micro-batchers pipeline batches
-    through the workers until the backlog drains."""
-    start = time.perf_counter()
-    futures = [cluster.submit(q) for q in queries]
-    responses = [f.result(timeout=300) for f in futures]
-    wall_s = time.perf_counter() - start
-    return {"queries": len(queries), "wall_s": wall_s,
-            "throughput_qps": len(queries) / wall_s,
-            "degraded": sum(1 for r in responses if r.degraded)}
 
 
 def run_open_loop(target, queries: Sequence[Query], rps: float,
@@ -160,28 +137,17 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
 # ---------------------------------------------------------------------------
 def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
                   queries: int = 256, rps: float = 100.0, seed: int = 0,
-                  stall_ms: float = 50.0, floor: float = 2.0,
                   max_batch: int = 16, routing: str = "region",
                   metrics: Optional[MetricsRegistry] = None) -> Dict:
-    """The full serving load test; returns a validated bench payload.
+    """The serving load test of one artifact; returns its report.
 
-    Three measurements, one artifact:
-
-    ``overlap``
-        Multi-worker scaling with a fixed ``stall_ms`` of injected
-        per-batch work standing in for model latency on bigger hardware
-        (the ``benchmarks/test_sweep_parallel`` pattern — honest on a
-        single-core CI box, where CPU-bound scaling is impossible by
-        construction).  Round-robin routing guarantees balanced shards,
-        so the expected speedup is ~``workers``; the recorded ``floor``
-        is what the benchmark asserts.
     ``model``
         Real-model saturation throughput, single process vs the
-        ``workers``-shard cluster, no stall — the genuine numbers for
-        this machine, recorded but never asserted below 4 cores.
+        ``workers``-shard cluster: the genuine numbers for this
+        machine, with its CPU count in ``cpus``.
     ``open_loop``
-        Controlled-RPS replay against the no-stall cluster:
-        p50/p95/p99 completion latency, shed/failed counts.
+        Controlled-RPS replay against the cluster: p50/p95/p99
+        completion latency, shed/failed counts.
     """
     from ..service import TravelTimeService
     from .cluster import ClusterConfig, ServingCluster
@@ -189,24 +155,6 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
     predictor = load_artifact(artifact_path, dataset=dataset)
     dataset = predictor.dataset
     stream = synthetic_queries(dataset, queries, seed=seed)
-
-    def stalled_config(num_workers: int) -> "ClusterConfig":
-        return ClusterConfig(num_workers=num_workers,
-                             routing="round_robin", max_batch=max_batch,
-                             batch_stall_s=stall_ms / 1000.0)
-
-    overlap = {"workers": workers, "stall_ms": stall_ms, "floor": floor,
-               "queries": len(stream)}
-    for key, num in (("single", 1), ("cluster", workers)):
-        cluster = ServingCluster(artifact_path, dataset=dataset,
-                                 config=stalled_config(num))
-        cluster.start()
-        try:
-            overlap[f"{key}_qps"] = measure_submit_throughput(
-                cluster, stream)["throughput_qps"]
-        finally:
-            cluster.stop()
-    overlap["speedup"] = overlap["cluster_qps"] / overlap["single_qps"]
 
     service = TravelTimeService(predictor=predictor, dataset=dataset)
     single = measure_saturation(service, stream)
@@ -227,81 +175,14 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
     finally:
         cluster.stop()
 
-    return build_bench_payload(
-        overlap, model, open_loop,
-        config={"dataset_fingerprint":
-                    read_manifest(artifact_path)["dataset"]["fingerprint"],
-                "queries": queries, "seed": seed, "rps": rps,
-                "workers": workers, "max_batch": max_batch,
-                "routing": routing})
-
-
-# ---------------------------------------------------------------------------
-_REQUIRED_SECTION_KEYS = {
-    "overlap": ("workers", "single_qps", "cluster_qps", "speedup",
-                "floor", "stall_ms"),
-    "model": ("workers", "single_qps", "cluster_qps", "speedup"),
-    "open_loop": ("rps_target", "rps_achieved", "latency_ms", "queries",
-                  "failed"),
-}
-
-
-def build_bench_payload(overlap: Dict, model: Dict, open_loop: Dict,
-                        config: Optional[Dict] = None) -> Dict:
-    """Assemble (and validate) a ``BENCH_serving.json`` document."""
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "created_unix": time.time(),  # repro: allow[D003] benchmark-result timestamp for cross-PR trend reading, not a deterministic code path
+    return {
         "cpus": len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "config": dict(config or {}),
-        "overlap": dict(overlap),
-        "model": dict(model),
-        "open_loop": dict(open_loop),
+        "config": {"dataset_fingerprint":
+                       read_manifest(artifact_path)["dataset"]["fingerprint"],
+                   "queries": queries, "seed": seed, "rps": rps,
+                   "workers": workers, "max_batch": max_batch,
+                   "routing": routing},
+        "model": model,
+        "open_loop": open_loop,
     }
-    return validate_bench_serving(payload)
-
-
-def validate_bench_serving(payload: Dict) -> Dict:
-    """Fail-closed shape check of a serving-bench document."""
-    if not isinstance(payload, dict):
-        raise ValueError("bench payload must be a JSON object")
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"bench schema must be {BENCH_SCHEMA!r} "
-                         f"(got {payload.get('schema')!r})")
-    if not isinstance(payload.get("created_unix"), (int, float)):
-        raise ValueError("bench created_unix must be a number")
-    for section, keys in _REQUIRED_SECTION_KEYS.items():
-        body = payload.get(section)
-        if not isinstance(body, dict):
-            raise ValueError(f"bench {section!r} must be an object")
-        missing = set(keys) - set(body)
-        if missing:
-            raise ValueError(
-                f"bench {section!r} missing keys {sorted(missing)}")
-    latency = payload["open_loop"]["latency_ms"]
-    if not isinstance(latency, dict):
-        raise ValueError("open_loop latency_ms must be an object")
-    for key in ("p50", "p95", "p99"):
-        if not isinstance(latency.get(key), (int, float)):
-            raise ValueError(f"open_loop latency_ms.{key} must be a number")
-    for key in ("single_qps", "cluster_qps", "speedup"):
-        for section in ("overlap", "model"):
-            value = payload[section][key]
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"bench {section}.{key} must be a non-negative number")
-    return payload
-
-
-def write_bench(path: str, payload: Dict) -> str:
-    """Validate and write a bench document; returns the path."""
-    validate_bench_serving(payload)
-    write_json(path, payload)
-    return path
-
-
-def validate_bench_file(path: str) -> Dict:
-    """Load and validate a ``BENCH_serving.json`` (CI smoke entry)."""
-    with open(path) as handle:
-        return validate_bench_serving(json.load(handle))

@@ -36,29 +36,18 @@ The wire protocol is deliberately tiny (tuples over a duplex pipe)::
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ...serving.artifact import ArtifactError, load_artifact
-from ...trajectory.model import Query
 from ..service import ServiceConfig, ServingResponse, TravelTimeService
 
 
 @dataclass
 class WorkerOptions:
-    """Per-worker knobs shipped from :class:`ClusterConfig`.
-
-    ``batch_stall_s`` injects a fixed sleep before every answered batch.
-    It exists for the load harness and the degradation tests: a
-    controlled stand-in for model latency on bigger hardware (the same
-    fixed-duration-work pattern as ``benchmarks/test_sweep_parallel``),
-    and a deterministic way to saturate a shard.  Production configs
-    leave it at 0.
-    """
+    """Per-worker knobs shipped from :class:`ClusterConfig`."""
 
     swap_poll_s: float = 0.05
-    batch_stall_s: float = 0.0
     service: Optional[ServiceConfig] = None
 
 
@@ -136,11 +125,8 @@ class _WorkerState:
         return True
 
     def answer(self, rows: List[Tuple]) -> List[ResponseRow]:
-        if self.options.batch_stall_s > 0:
-            time.sleep(self.options.batch_stall_s)
-        queries = [Query.coerce(row) for row in rows]
         return [response_to_row(r)
-                for r in self.service.query_batch(queries)]
+                for r in self.service.query_batch(rows)]
 
     def info(self) -> dict:
         metrics = self.service.metrics

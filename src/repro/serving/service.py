@@ -231,11 +231,13 @@ class TravelTimeService(Instrumented):
         """Overlay freshly estimated speed-matrix slices.
 
         ``slices`` maps period index → raw mean-speed matrix (m/s, grid
-        shaped).  The first call swaps the traffic-code table and the
-        route baseline onto a :class:`LiveSpeedStore` overlay; every
-        call clears the touched periods' rows so no stale code survives
-        (counted in ``serve.cache.speed.invalidations``).  Returns the
-        number of slices applied.
+        shaped).  The first call moves the traffic-code table and the
+        route baseline onto a :class:`LiveSpeedStore` overlay, which
+        answers every unwritten period as before, so the table keeps
+        its rows; every call clears the touched periods' rows so no
+        stale code survives (counted in
+        ``serve.cache.speed.invalidations``).  Returns the number of
+        slices applied.
         """
         if not slices:
             return 0
@@ -245,8 +247,6 @@ class TravelTimeService(Instrumented):
                 self._live_store = LiveSpeedStore(self.dataset.speed_store)
                 if table is not None:
                     table.swap_store(self._live_store)
-                    self.metrics.counter(
-                        "serve.cache.speed.invalidations").inc()
             for period, matrix in slices.items():
                 self._live_store.update_slice(int(period), matrix)
             if table is not None:
@@ -344,7 +344,6 @@ class TravelTimeService(Instrumented):
     def _answer_batch(self, queries: List[Query]) -> List[ServingResponse]:
         if not queries:
             return []
-        queries = [Query.coerce(q) for q in queries]
         self.metrics.counter("queries_total").inc(len(queries))
         with self.tracer.span("serve.request", queries=len(queries)):
             if self.predictor is not None:

@@ -1,21 +1,17 @@
-"""BENCH_lint.json schema: the validator accepts the bench's shape
-and fails closed on anything else."""
+"""BENCH_lint.json against ``benchmarks.benchfile``: the checker
+accepts the bench's shape and fails closed on anything else."""
 
 import json
 
 import pytest
 
-from repro.analysis import (
-    BENCH_LINT_SCHEMA,
-    validate_bench_lint,
-    validate_bench_lint_file,
-)
+from benchmarks.benchfile import check, check_file
 
 
 def good_payload():
     return {
         "bench": "lint_cache_speedup",
-        "schema": BENCH_LINT_SCHEMA,
+        "schema": "repro.bench.lint/v1",
         "files": 120,
         "findings": 0,
         "cold_s": 2.1,
@@ -29,13 +25,13 @@ def good_payload():
 
 def test_good_payload_validates():
     payload = good_payload()
-    assert validate_bench_lint(payload) is payload
+    assert check(payload) is payload
 
 
 def test_file_entry_point(tmp_path):
     path = tmp_path / "BENCH_lint.json"
     path.write_text(json.dumps(good_payload()))
-    assert validate_bench_lint_file(str(path))["files"] == 120
+    assert check_file(str(path))["files"] == 120
 
 
 @pytest.mark.parametrize("label,mutate", [
@@ -52,4 +48,4 @@ def test_rejects(label, mutate):
     payload = good_payload()
     mutate(payload)
     with pytest.raises(ValueError):
-        validate_bench_lint(payload)
+        check(payload)

@@ -11,11 +11,11 @@ import os
 import numpy as np
 import pytest
 
+from benchmarks.benchfile import check
 from repro.datagen import (
     BuildInfo, DatasetSpec, TaxiDataset, build, dataset_fingerprint,
-    split_indices, validate_bench_datagen,
+    split_indices,
 )
-from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
 from repro.datagen.storage import (
     DatasetDirWriter, open_dataset_dir, read_meta, stamp_fingerprint,
 )
@@ -267,7 +267,7 @@ class TestStorageErrors:
 class TestBenchSchema:
     def _payload(self):
         return {
-            "schema": BENCH_DATAGEN_SCHEMA,
+            "schema": "repro.bench.datagen/v1",
             "bench": "datagen_pipeline",
             "workload": {"city": "mega-chengdu", "trips": 4000,
                          "days": 2, "chunk_size": 512},
@@ -286,28 +286,28 @@ class TestBenchSchema:
 
     def test_valid_payload_passes(self):
         payload = self._payload()
-        assert validate_bench_datagen(payload) is payload
+        assert check(payload) is payload
 
     def test_floor_violations_fail_closed(self):
         payload = self._payload()
         payload["viterbi"]["speedup"] = 2.0
         with pytest.raises(ValueError, match="below"):
-            validate_bench_datagen(payload)
+            check(payload)
 
     def test_memory_ceiling_enforced(self):
         payload = self._payload()
         payload["memory"]["ratio"] = 0.9
         with pytest.raises(ValueError, match="ceiling"):
-            validate_bench_datagen(payload)
+            check(payload)
 
     def test_fingerprint_divergence_fails(self):
         payload = self._payload()
         payload["fingerprint_equal"] = False
         with pytest.raises(ValueError, match="fingerprint"):
-            validate_bench_datagen(payload)
+            check(payload)
 
     def test_wrong_schema_fails(self):
         payload = self._payload()
         payload["schema"] = "repro.bench.datagen/v0"
         with pytest.raises(ValueError, match="schema"):
-            validate_bench_datagen(payload)
+            check(payload)

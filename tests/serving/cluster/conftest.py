@@ -5,12 +5,32 @@ The session-scoped trained model, dataset and artifact come from
 management on top.  ``cluster_factory`` hands out started
 :class:`ServingCluster` instances and stops every one of them at test
 exit, so a failing assertion can never leak worker processes into the
-rest of the run.
+rest of the run.  ``stall_batches`` makes every worker sleep before it
+answers a batch: a slow model, injected from the test side.
 """
+
+import time
 
 import pytest
 
 from repro.serving import ClusterConfig, ServingCluster
+from repro.serving.cluster.worker import _WorkerState
+
+
+@pytest.fixture()
+def stall_batches(monkeypatch):
+    """``stall_batches(seconds)``: workers forked from now on sleep
+    ``seconds`` before answering each batch."""
+    def stall(seconds):
+        answer = _WorkerState.answer
+
+        def stalled(self, rows):
+            time.sleep(seconds)
+            return answer(self, rows)
+
+        monkeypatch.setattr(_WorkerState, "answer", stalled)
+
+    return stall
 
 
 @pytest.fixture()

@@ -53,11 +53,12 @@ class TestCorrectness:
 
 class TestBatching:
     def test_submit_coalesces_across_threads(self, cluster_factory,
-                                             serving_dataset):
-        """The tentpole's cross-connection batching: queries submitted
-        from many threads reach the worker as multi-query batches."""
-        cluster = cluster_factory(num_workers=1, max_batch=16,
-                                  batch_stall_s=0.02)
+                                             serving_dataset,
+                                             stall_batches):
+        """Cross-connection batching: queries submitted from many
+        threads reach the worker as multi-query batches."""
+        stall_batches(0.02)
+        cluster = cluster_factory(num_workers=1, max_batch=16)
         queries = synthetic_queries(serving_dataset, 32, seed=7)
         results = [None] * len(queries)
 

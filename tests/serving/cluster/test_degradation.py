@@ -26,11 +26,13 @@ def _shard_pids(cluster):
 
 class TestSaturation:
     def test_submit_sheds_with_saturated_error(self, cluster_factory,
-                                               serving_dataset):
+                                               serving_dataset,
+                                               stall_batches):
         # One slow worker (200ms/batch), a 2-deep admission queue:
         # rapid-fire submits must overflow it.
+        stall_batches(0.2)
         cluster = cluster_factory(num_workers=1, max_pending=2,
-                                  max_batch=4, batch_stall_s=0.2)
+                                  max_batch=4)
         queries = synthetic_queries(serving_dataset, 24, seed=11)
         futures, errors = [], []
         for query in queries:
@@ -48,10 +50,11 @@ class TestSaturation:
             len(errors)
 
     def test_saturation_fallback_degrades_instead(self, cluster_factory,
-                                                  serving_dataset):
+                                                  serving_dataset,
+                                                  stall_batches):
+        stall_batches(0.2)
         cluster = cluster_factory(num_workers=1, max_pending=2,
-                                  max_batch=4, batch_stall_s=0.2,
-                                  saturation_fallback=True)
+                                  max_batch=4, saturation_fallback=True)
         queries = synthetic_queries(serving_dataset, 24, seed=13)
         futures = [cluster.submit(q) for q in queries]
         responses = [f.result(timeout=60) for f in futures]
@@ -152,11 +155,11 @@ class TestCrashRecovery:
 
 class TestDispatchTimeout:
     def test_hung_worker_is_replaced(self, cluster_factory,
-                                     serving_dataset):
+                                     serving_dataset, stall_batches):
         # A stall far past the dispatch timeout looks like a hang; the
         # dispatcher must give up, restart the shard, and still answer.
-        cluster = cluster_factory(num_workers=1, batch_stall_s=2.0,
-                                  dispatch_timeout_s=0.3,
+        stall_batches(2.0)
+        cluster = cluster_factory(num_workers=1, dispatch_timeout_s=0.3,
                                   restart_limit=0)
         responses = cluster.query_batch(
             sample_queries(serving_dataset, 2))

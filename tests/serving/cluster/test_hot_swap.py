@@ -74,18 +74,18 @@ class TestHotSwap:
     def test_zero_dropped_requests_across_swap(self, deployment, tmp_path,
                                                trained_predictor,
                                                serving_dataset,
-                                               monkeypatch):
+                                               monkeypatch, stall_batches):
         # A swap reloads from the serving-state bundle: trip generation
         # raises here and in the forked workers, which inherit the patch.
         def no_trips(*args, **kwargs):
             raise AssertionError("trip generation during a swap")
         monkeypatch.setattr(artifact_mod, "build", no_trips)
         monkeypatch.setattr(TripGenerator, "generate_chunks", no_trips)
+        stall_batches(0.005)
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
-            config=ClusterConfig(num_workers=2, batch_stall_s=0.005,
-                                 swap_poll_s=0.02))
+            config=ClusterConfig(num_workers=2, swap_poll_s=0.02))
         cluster.start()
         try:
             queries = synthetic_queries(serving_dataset, 8, seed=23)

@@ -14,30 +14,19 @@ class TestLoadtestCLI:
         metrics_path = tmp_path / "metrics.json"
         assert main(["loadtest", "--artifact", artifact_dir,
                      "--workers", "2", "--queries", "32", "--rps", "200",
-                     "--stall-ms", "10", "--floor", "1.1",
                      "--out", str(bench_path),
                      "--metrics-out", str(metrics_path)]) == 0
         out = capsys.readouterr().out
-        assert "overlap (2 workers" in out
+        assert "model saturation" in out
         assert "open loop @ 200 rps" in out
 
         from repro.obs import validate_metrics_file
-        from repro.serving.cluster import validate_bench_file
-        bench = validate_bench_file(str(bench_path))
-        assert bench["config"]["workers"] == 2
-        assert bench["open_loop"]["failed"] == 0
+        report = json.loads(bench_path.read_text())
+        assert report["config"]["workers"] == 2
+        assert report["model"]["degraded"] == 0
+        assert report["open_loop"]["failed"] == 0
         snap = validate_metrics_file(str(metrics_path))
         assert snap["histograms"]["loadtest.latency_ms"]["count"] == 32
-
-    def test_assert_floor_failure_exits_nonzero(self, artifact_dir,
-                                                capsys):
-        # An impossible floor: the harness must report and exit 1, not
-        # silently pass.
-        assert main(["loadtest", "--artifact", artifact_dir,
-                     "--workers", "2", "--queries", "16", "--rps", "500",
-                     "--stall-ms", "5", "--floor", "1000",
-                     "--assert-floor"]) == 1
-        assert "below" in capsys.readouterr().err
 
     def test_rejects_bad_artifact(self, tmp_path):
         with pytest.raises(SystemExit):

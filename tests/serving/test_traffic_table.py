@@ -68,8 +68,9 @@ def _periods(service, queries):
 
 
 def _start_live_overlay(service, periods):
-    """Apply a first live write, on a period the batch never reads: the
-    first write moves the table onto the live store, flushing it."""
+    """Apply a first live write, on a period the batch never reads.  The
+    first write moves the table onto the live store under the table's
+    lock, so only a later write can land while a fill holds it."""
     spare = next(p for p in range(service.speed_store.periods)
                  if p not in set(periods.tolist()))
     service.apply_live_speeds({spare: service.speed_store.matrix_at(spare)})
@@ -111,18 +112,21 @@ def test_a_batch_encodes_each_distinct_period_once(predictors, queries,
 def test_live_write_reencodes_only_the_touched_periods(predictors, queries,
                                                        encoded):
     service = TravelTimeService(predictors[0], metrics=MetricsRegistry())
-    _start_live_overlay(service, _periods(service, queries))
     _served(service, queries)
     periods = sorted(set(_periods(service, queries).tolist()))
-    touched = periods[:2]
+    slices = {p: service.speed_store.matrix_at(p) * 0.4 for p in periods[:2]}
     before = sum(encoded)
-    service.apply_live_speeds({p: service.speed_store.matrix_at(p) * 0.4
-                               for p in touched})
+    # The first write moves the table onto the live overlay, which
+    # answers every other period as the base store does: rows survive.
+    service.apply_live_speeds(slices)
     got = _served(service, queries)
-    assert sum(encoded) - before == len(touched)
+    assert sum(encoded) - before == len(slices)
     np.testing.assert_allclose(got,
                                _uncached(service, predictors[0], queries),
                                rtol=1e-12, atol=0.0)
+    fresh = TravelTimeService(predictors[0], metrics=MetricsRegistry())
+    fresh.apply_live_speeds(slices)
+    np.testing.assert_array_equal(got, _served(fresh, queries))
 
 
 def test_swap_answers_with_the_new_models_codes(predictors, queries):
