@@ -17,6 +17,7 @@ import numpy as np
 from repro.core import DeepODTrainer, TravelTimePredictor, build_deepod
 from repro.datagen import DatasetSpec, build
 from repro.serving import ServiceConfig, TravelTimeService
+from repro.trajectory import Query
 
 from .conftest import BenchParams, print_header, small_deepod_config
 
@@ -39,9 +40,9 @@ def _build_service() -> TravelTimeService:
 
 def _queries(dataset, n):
     test = dataset.split.test
-    return [(test[i % len(test)].od.origin_xy,
-             test[i % len(test)].od.destination_xy,
-             test[i % len(test)].od.depart_time)
+    return [Query(test[i % len(test)].od.origin_xy,
+                  test[i % len(test)].od.destination_xy,
+                  test[i % len(test)].od.depart_time)
             for i in range(n)]
 
 
@@ -51,7 +52,7 @@ def test_serving_throughput(benchmark):
 
     # One-at-a-time: every query pays the full model-call overhead.
     start = time.perf_counter()
-    singles = [service.query(*q) for q in queries]
+    singles = [service.query(q) for q in queries]
     unbatched_s = time.perf_counter() - start
 
     # Micro-batched: queue everything, let the batcher coalesce into
@@ -94,7 +95,7 @@ def test_threaded_batcher_serves_concurrent_clients(benchmark):
     results = [None] * len(queries)
 
     def client(lo, hi):
-        futures = [(i, service.submit(*queries[i])) for i in range(lo, hi)]
+        futures = [(i, service.submit(queries[i])) for i in range(lo, hi)]
         for i, future in futures:
             results[i] = future.result(timeout=30)
 

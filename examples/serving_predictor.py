@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.datagen import DatasetSpec, build
 from repro.temporal import SECONDS_PER_DAY
+from repro.trajectory import Query
 
 
 def main() -> None:
@@ -44,12 +45,12 @@ def main() -> None:
           f"{dest[0]:.0f},{dest[1]:.0f}")
     print(f"{'depart':>8}{'estimate':>12}{'80% band':>22}")
     for hour in (3, 8, 12, 18, 22):
-        est = predictor.estimate(origin, dest, day + hour * 3600.0)
+        est = predictor.estimate(Query(origin, dest, day + hour * 3600.0))
         print(f"{hour:6d}h {est.seconds:10.0f}s "
               f"[{est.lower:8.0f}s, {est.upper:8.0f}s]")
 
-    rush = predictor.estimate(origin, dest, day + 8 * 3600.0)
-    night = predictor.estimate(origin, dest, day + 3 * 3600.0)
+    rush = predictor.estimate(Query(origin, dest, day + 8 * 3600.0))
+    night = predictor.estimate(Query(origin, dest, day + 3 * 3600.0))
     print(f"\nrush-hour vs night ratio: "
           f"{rush.seconds / night.seconds:.2f}x")
 

@@ -20,6 +20,7 @@ from repro.serving import (
     ServiceConfig, TravelTimeService, load_artifact, save_artifact,
 )
 from repro.temporal import SECONDS_PER_DAY
+from repro.trajectory import Query
 
 
 def main() -> None:
@@ -54,7 +55,7 @@ def main() -> None:
         day = 5 * SECONDS_PER_DAY
 
         print("\nmicro-batched queries (one OD pair across the day):")
-        futures = [service.submit(origin, dest, day + h * 3600.0)
+        futures = [service.submit(Query(origin, dest, day + h * 3600.0))
                    for h in (3, 8, 12, 18, 22)]
         for hour, future in zip((3, 8, 12, 18, 22), futures):
             r = future.result(timeout=30)
@@ -63,12 +64,12 @@ def main() -> None:
         service.stop()
 
         # Same query again: the map-match cache answers the snapping.
-        service.query(origin, dest, day)
+        service.query(Query(origin, dest, day))
         print(f"\nod-match cache: {service.od_cache.stats()}")
 
         # Injected model failure -> graceful degradation.
         service.predictor.estimate_from_ods = _explode
-        degraded = service.query(origin, dest, day + 8 * 3600.0)
+        degraded = service.query(Query(origin, dest, day + 8 * 3600.0))
         print(f"after injected failure: source={degraded.source} "
               f"degraded={degraded.degraded} "
               f"estimate={degraded.seconds:.0f}s")

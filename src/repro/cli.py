@@ -297,9 +297,13 @@ def cmd_serve(args) -> int:
         except json.JSONDecodeError as exc:
             raise SystemExit(f"--query is not valid JSON: {exc}")
         from .serving import parse_query
+        try:
+            query = parse_query(payload)
+        except ValueError as exc:
+            raise SystemExit(f"--query is not a valid query: {exc}")
         if is_cluster:
             service.start()
-        response = service.query(parse_query(payload))
+        response = service.query(query)
         print(json.dumps(response.to_dict()))
         finish()
         return 0

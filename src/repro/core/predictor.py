@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .inference import InferencePlan
 from .model import DeepOD
 from .trainer import DeepODTrainer
 
-QueryLike = Union[Query, Tuple]
 # ``snap(xs, ys)`` -> one (edge_id, distance, ratio) per point.
 Snapper = Callable[[List[float], List[float]],
                    Sequence[Tuple[int, float, float]]]
@@ -48,28 +47,28 @@ def normalize_depart_time(depart_time: float,
     return min(t, float(horizon_seconds) - 1.0)
 
 
-def match_queries(queries: Sequence[QueryLike], dataset: TaxiDataset,
+def match_queries(queries: Sequence[Query], dataset: TaxiDataset,
                   snap: Snapper) -> List[ODInput]:
     """Snap raw-coordinate queries onto the road network (Section 3).
 
-    Departure times are validated and clamped first
-    (:func:`normalize_depart_time`), so each OD input carries the value
-    every downstream lookup uses.  Then both endpoints of every query,
-    origin before destination, are snapped in one ``snap`` call:
-    ``SpatialIndex.nearest_edges``, or the serving layer's cached
-    ``ODMatchCache.nearest_edges``.
+    Departure times, already validated by :class:`Query`, are clamped
+    to the horizon first (:func:`normalize_depart_time`), so each OD
+    input carries the value every downstream lookup uses.  Then both
+    endpoints of every query, origin before destination, are snapped in
+    one ``snap`` call: ``SpatialIndex.nearest_edges``, or the serving
+    layer's cached ``ODMatchCache.nearest_edges``.
     """
-    triples = [tuple(q) for q in queries]
-    times = [normalize_depart_time(t, dataset.horizon_seconds)
-             for _, _, t in triples]
-    hits = snap([p[0] for o, d, _ in triples for p in (o, d)],
-                [p[1] for o, d, _ in triples for p in (o, d)])
+    times = [normalize_depart_time(q.depart_time, dataset.horizon_seconds)
+             for q in queries]
+    points = [p for q in queries for p in (q.origin_xy, q.destination_xy)]
+    hits = snap([p[0] for p in points], [p[1] for p in points])
     ods = []
-    for i, ((origin, destination, _), t) in enumerate(zip(triples, times)):
+    for i, (query, t) in enumerate(zip(queries, times)):
         o_edge, _, o_ratio = hits[2 * i]
         d_edge, _, d_ratio = hits[2 * i + 1]
         ods.append(ODInput(
-            origin_xy=origin, destination_xy=destination, depart_time=t,
+            origin_xy=query.origin_xy,
+            destination_xy=query.destination_xy, depart_time=t,
             origin_edge=o_edge, destination_edge=d_edge,
             ratio_start=o_ratio, ratio_end=d_ratio,
             weather=dataset.weather.category(t)))
@@ -200,31 +199,20 @@ class TravelTimePredictor:
                     destination_xy: Tuple[float, float],
                     depart_time: float) -> ODInput:
         """Snap one raw-coordinate query (see :func:`match_queries`)."""
-        return match_queries([(origin_xy, destination_xy, depart_time)],
-                             self.dataset, self.index.nearest_edges)[0]
+        query = Query(origin_xy=origin_xy, destination_xy=destination_xy,
+                      depart_time=depart_time)
+        return match_queries([query], self.dataset,
+                             self.index.nearest_edges)[0]
 
-    def estimate(self, query: Union[QueryLike, Tuple[float, float]],
-                 destination_xy: Optional[Tuple[float, float]] = None,
-                 depart_time: Optional[float] = None) -> Estimate:
-        """Estimate one trip from raw coordinates.
-
-        Accepts either a :class:`~repro.trajectory.model.Query` (or a
-        legacy 3-tuple) as the sole argument, or the spread legacy form
-        ``estimate(origin_xy, destination_xy, depart_time)``.
-        """
-        if destination_xy is not None:
-            query = Query(origin_xy=tuple(query),
-                          destination_xy=tuple(destination_xy),
-                          depart_time=depart_time)
+    def estimate(self, query: Query) -> Estimate:
+        """Estimate one trip from a raw-coordinate :class:`Query`."""
         return self.estimate_batch([query])[0]
 
-    def estimate_batch(self, queries: Sequence[QueryLike]
-                       ) -> List[Estimate]:
-        """Estimate many queries (``Query`` objects or legacy triples)."""
+    def estimate_batch(self, queries: Sequence[Query]) -> List[Estimate]:
+        """Estimate many :class:`Query` objects in one vectorised pass."""
         if not len(queries):
             return []
-        ods = match_queries([Query.coerce(q) for q in queries],
-                            self.dataset, self.index.nearest_edges)
+        ods = match_queries(queries, self.dataset, self.index.nearest_edges)
         return self.estimate_from_ods(ods)
 
     def estimate_from_ods(self, ods: Sequence[ODInput],

@@ -128,24 +128,12 @@ class ODMatchCache:
 
     Caching per *endpoint* rather than per OD pair doubles reuse: a
     popular pickup point hits the cache no matter where the trip goes.
-    Keys are exact coordinates by default (lossless); an optional
-    ``quantize_metres`` snaps keys to a grid, trading a bounded match
-    perturbation for a much higher hit rate under GPS jitter.
+    Keys are the exact coordinates, so a cached match is the match.
     """
 
-    def __init__(self, index: SpatialIndex, capacity: int = 4096,
-                 quantize_metres: float = 0.0):
-        if quantize_metres < 0:
-            raise ValueError("quantize_metres must be >= 0")
+    def __init__(self, index: SpatialIndex, capacity: int = 4096):
         self.index = index
-        self.quantize_metres = quantize_metres
         self._lru = LRUCache(capacity)
-
-    def _key(self, x: float, y: float) -> Tuple[float, float]:
-        q = self.quantize_metres
-        if q > 0:
-            return (round(x / q) * q, round(y / q) * q)
-        return (float(x), float(y))
 
     def nearest_edge(self, x: float, y: float) -> Tuple[int, float, float]:
         """(edge_id, distance, ratio) as in ``SpatialIndex.nearest_edge``."""
@@ -157,7 +145,7 @@ class ODMatchCache:
         batched index query for the missed keys; hits, misses and
         evictions as for one lookup per point in order."""
         return self._lru.get_many(
-            [self._key(x, y) for x, y in zip(xs, ys)],
+            [(float(x), float(y)) for x, y in zip(xs, ys)],
             lambda keys: self.index.nearest_edges([k[0] for k in keys],
                                                   [k[1] for k in keys]))
 

@@ -22,11 +22,10 @@ from .loadgen import (
     measure_saturation, run_load_test, run_open_loop, synthetic_queries,
 )
 from .router import ROUTING_POLICIES, ShardRouter
-from .worker import WorkerOptions
 
 __all__ = [
     "ClusterConfig", "ServingCluster",
-    "ROUTING_POLICIES", "ShardRouter", "WorkerOptions",
+    "ROUTING_POLICIES", "ShardRouter",
     "measure_saturation", "run_load_test", "run_open_loop",
     "synthetic_queries",
 ]

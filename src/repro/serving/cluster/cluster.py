@@ -22,8 +22,7 @@ and the JSON-lines loop serve either interchangeably:
 * degradation is graceful and layered: a crashed worker is restarted
   and the batch retried; a shard past its restart budget is served
   from the parent's TEMP fallback (``degraded`` responses); a full
-  admission queue sheds load with :class:`SaturatedError` (HTTP 503)
-  or, opted in, absorbs it into the fallback.
+  admission queue sheds load with :class:`SaturatedError` (HTTP 503).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Dict, List, Optional, Sequence
@@ -44,9 +43,9 @@ from ..artifact import load_artifact
 from ..batcher import MicroBatcher
 from ..errors import SaturatedError
 from ..fallback import HistoricalAverageFallback
-from ..service import ServiceConfig, ServingResponse
+from ..service import ServingResponse
 from .router import ROUTING_POLICIES, ShardRouter
-from .worker import WorkerOptions, row_to_response, worker_main
+from .worker import row_to_response, worker_main
 
 _DISPATCH_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError,
                     TimeoutError, OSError)
@@ -57,20 +56,15 @@ class ClusterConfig:
     """Operational knobs of the sharded serving stack.
 
     ``max_pending`` bounds each shard's admission queue (0 = unbounded);
-    ``saturation_fallback`` answers shed queries from the TEMP fallback
-    (degraded, never failed) instead of raising ``SaturatedError``.
+    a full queue sheds with ``SaturatedError``.
     """
 
     num_workers: int = 2
     routing: str = "region"
-    cell_metres: float = 500.0
     max_batch: int = 64
     max_pending: int = 2048
-    saturation_fallback: bool = False
     dispatch_timeout_s: float = 30.0
     restart_limit: int = 3
-    swap_poll_s: float = 0.05
-    service: Optional[ServiceConfig] = None
 
     def __post_init__(self):
         if self.num_workers < 1:
@@ -84,10 +78,6 @@ class ClusterConfig:
             raise ValueError("dispatch_timeout_s must be > 0")
         if self.restart_limit < 0:
             raise ValueError("restart_limit must be >= 0")
-
-    def worker_options(self) -> WorkerOptions:
-        return WorkerOptions(swap_poll_s=self.swap_poll_s,
-                             service=self.service)
 
 
 @dataclass
@@ -143,8 +133,7 @@ class ServingCluster(Instrumented):
         self.watch_path = artifact_path
         self.metrics = metrics or MetricsRegistry()
         self.router = ShardRouter(self.config.num_workers,
-                                  policy=self.config.routing,
-                                  cell_metres=self.config.cell_metres)
+                                  policy=self.config.routing)
 
         # Load once in the parent: workers inherit all of this
         # copy-on-write at fork time (zero per-worker load cost).
@@ -206,7 +195,7 @@ class ServingCluster(Instrumented):
         process = ctx.Process(
             target=worker_main,
             args=(child_conn, handle.shard_id, self.watch_path,
-                  inherited, self.config.worker_options()),
+                  inherited),
             name=f"serving-shard-{handle.shard_id}", daemon=True)
         process.start()
         child_conn.close()
@@ -261,7 +250,8 @@ class ServingCluster(Instrumented):
         """Ship one batch to a shard; restart-and-retry once on a crash;
         degrade to the parent-side fallback when the shard is gone."""
         handle = self._handles[shard_id]
-        rows = [query.as_tuple() for query in queries]
+        rows = [(query.origin_xy, query.destination_xy, query.depart_time)
+                for query in queries]
         worker_error = None
         for _attempt in (0, 1):
             if not handle.alive and not self._restart_shard(handle):
@@ -342,24 +332,20 @@ class ServingCluster(Instrumented):
         return acknowledged
 
     # -- query paths -----------------------------------------------------
-    def query(self, query, destination_xy=None,
-              depart_time=None) -> ServingResponse:
-        """Answer one query synchronously (same forms as the service)."""
-        if destination_xy is not None:
-            query = Query(origin_xy=tuple(query),
-                          destination_xy=tuple(destination_xy),
-                          depart_time=depart_time)
+    def query(self, query: Query) -> ServingResponse:
+        """Answer one :class:`Query` synchronously."""
         return self.query_batch([query])[0]
 
-    def query_batch(self, queries: Sequence) -> List[ServingResponse]:
-        """Answer many queries in one pass, fanned out across shards.
+    def query_batch(self, queries: Sequence[Query]
+                    ) -> List[ServingResponse]:
+        """Answer many :class:`Query` objects in one pass, fanned out
+        across shards.
 
         Sub-batches dispatch to their shards concurrently (one thread
         per shard), so a closed-loop caller drives every worker at
         once; responses come back in input order.
         """
         self._require_started()
-        queries = [Query.coerce(q) for q in queries]
         if not queries:
             return []
         start = time.perf_counter()
@@ -377,32 +363,24 @@ class ServingCluster(Instrumented):
             for future, indices in futures.items():
                 for i, response in zip(indices, future.result()):
                     responses[i] = response
+        # Every query of a synchronous batch waits for the whole batch,
+        # as in ``TravelTimeService.query_batch``.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         hist = self.metrics.histogram("cluster.latency_ms")
         for _ in responses:
-            hist.observe(elapsed_ms / len(responses))
+            hist.observe(elapsed_ms)
         return responses
 
-    def submit(self, query, destination_xy=None, depart_time=None):
-        """Enqueue one query on its shard's micro-batcher; returns a
-        future.  Sheds load once the shard's admission queue holds
-        ``max_pending`` queries — with ``SaturatedError`` by default,
-        or a degraded TEMP answer under ``saturation_fallback``.
+    def submit(self, query: Query):
+        """Enqueue one :class:`Query` on its shard's micro-batcher;
+        returns a future.  Sheds load with ``SaturatedError`` once the
+        shard's admission queue holds ``max_pending`` queries.
         """
         self._require_started()
-        if destination_xy is not None:
-            query = Query(origin_xy=tuple(query),
-                          destination_xy=tuple(destination_xy),
-                          depart_time=depart_time)
-        query = Query.coerce(query)
         handle = self._handles[self.router.shard_of(query)]
         limit = self.config.max_pending
         if limit and handle.batcher.pending >= limit:
             self.metrics.counter("cluster.saturated_rejections").inc()
-            if self.config.saturation_fallback:
-                future: Future = Future()
-                future.set_result(self._fallback_answers([query])[0])
-                return future
             raise SaturatedError(
                 f"shard {handle.shard_id} queue full "
                 f"({limit} queries pending)")
@@ -414,7 +392,7 @@ class ServingCluster(Instrumented):
                 (time.perf_counter() - enqueued) * 1000.0))
         return future
 
-    def answer(self, query) -> ServingResponse:
+    def answer(self, query: Query) -> ServingResponse:
         """Front-end entry point: batched across connections when the
         dispatchers are running (mirrors ``TravelTimeService.answer``)."""
         if self._started:

@@ -10,19 +10,25 @@ serving-state bundle and generates no trip.
 
 **Hot swap.**  The worker watches ``watch_path`` — typically the
 promotion gate's ``<deploy>/current`` symlink — by resolving its
-realpath before every batch and on every idle poll tick.  When the
-realpath changes (the gate's atomic symlink flip), the worker has by
-construction no in-flight work (it answers one batch at a time; queued
-requests wait in the pipe), so it reloads in place and the next batch
-runs on the new model.  A reload that fails — mid-copy artifact,
-checksum mismatch, a model trained on another dataset (its manifest
-fingerprint differs from the serving one) — keeps the old predictor
-serving and retries on the next tick: a bad push can never take a shard
-down, and no request is ever dropped across a swap.
+realpath before every batch and on every idle poll tick
+(``SWAP_POLL_S``).  When the realpath changes (the gate's atomic
+symlink flip), the worker has by construction no in-flight work (it
+answers one batch at a time; queued requests wait in the pipe), so it
+reloads in place and the next batch runs on the new model.  A reload
+that fails — mid-copy artifact, checksum mismatch, a model trained on
+another dataset (its manifest fingerprint differs from the serving
+one) — keeps the old predictor serving and retries on the next tick: a
+bad push can never take a shard down, and no request is ever dropped
+across a swap.
 
-The wire protocol is deliberately tiny (tuples over a duplex pipe)::
+Each worker serves with a default ``ServiceConfig``: it answers batches
+the parent already formed, so no setting of the cluster reaches it.
 
-    ("batch", [(origin, destination, depart_time), ...])
+The wire protocol is deliberately tiny (tuples over a duplex pipe).  A
+query row is the field tuple of a :class:`~repro.trajectory.Query`,
+rebuilt as one (and so validated again) on the worker side::
+
+    ("batch", [(origin_xy, destination_xy, depart_time), ...])
         -> ("ok", [(seconds, lower, upper, o_edge, d_edge,
                     degraded, source, degraded_tier), ...])
         |  ("err", "<repr of the failure>")
@@ -36,20 +42,15 @@ The wire protocol is deliberately tiny (tuples over a duplex pipe)::
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ...serving.artifact import ArtifactError, load_artifact
-from ..service import ServiceConfig, ServingResponse, TravelTimeService
+from ...trajectory.model import Query
+from ..service import ServingResponse, TravelTimeService
 
-
-@dataclass
-class WorkerOptions:
-    """Per-worker knobs shipped from :class:`ClusterConfig`."""
-
-    swap_poll_s: float = 0.05
-    service: Optional[ServiceConfig] = None
-
+# How long an idle worker waits on its pipe before re-checking the
+# watched artifact for a hot swap.
+SWAP_POLL_S = 0.05
 
 ResponseRow = Tuple[float, float, float, int, int, bool, str, int]
 
@@ -71,11 +72,10 @@ class _WorkerState:
     """The live model + service of one worker, reloadable in place."""
 
     def __init__(self, shard_id: int, watch_path: str, version: str,
-                 predictor, options: WorkerOptions):
+                 predictor):
         self.shard_id = shard_id
         self.watch_path = watch_path
         self.version = version
-        self.options = options
         self.swaps = 0
         self.swap_failures = 0
         self._live_slices: dict = {}
@@ -85,9 +85,7 @@ class _WorkerState:
         # The worker answers pre-batched requests synchronously, so its
         # service never starts the internal micro-batcher thread —
         # batching happens once, in the parent, across connections.
-        self.service = TravelTimeService(
-            predictor=predictor,
-            config=self.options.service or ServiceConfig())
+        self.service = TravelTimeService(predictor=predictor)
         if self._live_slices:
             # Live traffic state outlives a hot swap: the new model must
             # not serve from stale training-time speeds.
@@ -125,8 +123,9 @@ class _WorkerState:
         return True
 
     def answer(self, rows: List[Tuple]) -> List[ResponseRow]:
+        queries = [Query(*row) for row in rows]
         return [response_to_row(r)
-                for r in self.service.query_batch(rows)]
+                for r in self.service.query_batch(queries)]
 
     def info(self) -> dict:
         metrics = self.service.metrics
@@ -144,7 +143,7 @@ class _WorkerState:
 
 
 def worker_main(conn, shard_id: int, watch_path: str,
-                inherited: Optional[Tuple], options: WorkerOptions) -> None:
+                inherited: Optional[Tuple]) -> None:
     """Process entry point: serve batches from ``conn`` until told to stop.
 
     ``inherited`` is ``(version, predictor)`` under the fork start
@@ -157,11 +156,10 @@ def worker_main(conn, shard_id: int, watch_path: str,
     else:
         version = os.path.realpath(watch_path)
         predictor = load_artifact(version)
-    state = _WorkerState(shard_id, watch_path, version, predictor,
-                         options)
+    state = _WorkerState(shard_id, watch_path, version, predictor)
     try:
         while True:
-            if not conn.poll(options.swap_poll_s):
+            if not conn.poll(SWAP_POLL_S):
                 state.maybe_reload()      # idle tick: pick up swaps
                 continue
             message = conn.recv()

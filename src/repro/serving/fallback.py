@@ -26,30 +26,23 @@ from .state import fitted_temp
 class HistoricalAverageFallback:
     """TEMP-backed estimator answering raw-coordinate queries.
 
-    The band attached to fallback estimates is a fixed wide ratio band
-    (default [0.5p, 2p]) — honest about the fact that no calibration
-    backs a degraded answer.
+    The band attached to degraded estimates is a fixed wide ratio band,
+    [0.5p, 2p]: honest about the fact that no calibration backs a
+    degraded answer.  The route tier of the service uses it too.
     """
 
-    def __init__(self, dataset: TaxiDataset,
-                 band_ratios: Tuple[float, float] = (0.5, 2.0)):
-        lo, hi = band_ratios
-        if not 0.0 < lo <= 1.0 <= hi:
-            raise ValueError("band ratios must straddle 1.0")
-        self.band_ratios = (float(lo), float(hi))
+    def __init__(self, dataset: TaxiDataset):
         self._temp = fitted_temp(dataset)
 
     def estimate_seconds(self, queries: Sequence[Query]) -> np.ndarray:
-        """Point estimates (seconds) for queries (:class:`Query` objects
-        or legacy ``(origin, destination, t)`` triples)."""
-        trips = [TripRecord(od=ODInput(origin_xy=tuple(o),
-                                       destination_xy=tuple(d),
-                                       depart_time=float(t)),
+        """Point estimates (seconds) for :class:`Query` objects."""
+        trips = [TripRecord(od=ODInput(origin_xy=q.origin_xy,
+                                       destination_xy=q.destination_xy,
+                                       depart_time=q.depart_time),
                             travel_time=1.0)   # dummy; TEMP reads only od
-                 for o, d, t in queries]
+                 for q in queries]
         return self._temp.predict(trips)
 
-    def bands(self, seconds: np.ndarray
-              ) -> List[Tuple[float, float]]:
-        lo, hi = self.band_ratios
-        return [(float(s * lo), float(s * hi)) for s in seconds]
+    @staticmethod
+    def bands(seconds: np.ndarray) -> List[Tuple[float, float]]:
+        return [(float(s * 0.5), float(s * 2.0)) for s in seconds]

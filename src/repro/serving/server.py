@@ -45,8 +45,9 @@ from .service import TravelTimeService
 def parse_query(payload: dict) -> Query:
     """Validate a JSON query object into a typed :class:`Query`.
 
-    The returned object iterates as the legacy ``((ox, oy), (dx, dy),
-    t)`` triple, so ``service.query(*parse_query(...))`` keeps working.
+    Raises ``ValueError`` naming the bad field, including a non-finite
+    or negative ``depart_time`` (``json.loads`` accepts ``NaN`` and
+    ``Infinity``), so the front-ends answer it as a client error.
     """
     try:
         origin = payload["origin"]
@@ -55,16 +56,8 @@ def parse_query(payload: dict) -> Query:
     except (KeyError, TypeError):
         raise ValueError(
             "query must have 'origin', 'destination', 'depart_time'")
-    for name, point in (("origin", origin), ("destination", destination)):
-        if not (isinstance(point, (list, tuple)) and len(point) == 2):
-            raise ValueError(f"{name} must be a [x, y] pair")
-    t = float(depart)
-    if t < 0:
-        raise ValueError("depart_time must be non-negative")
-    return Query(origin_xy=(float(origin[0]), float(origin[1])),
-                 destination_xy=(float(destination[0]),
-                                 float(destination[1])),
-                 depart_time=t)
+    return Query(origin_xy=origin, destination_xy=destination,
+                 depart_time=depart)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class ServiceConfig:
 
     max_batch: int = 128
     max_pending: int = 0
-    od_cache_size: int = 4096
-    match_quantize_metres: float = 0.0
-    fallback_band_ratios: Tuple[float, float] = (0.5, 2.0)
-    # Tier 1 of the degradation ladder: when the model path raises, try
-    # a shortest-path × current-speed estimate before the TEMP average.
-    route_fallback: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -139,8 +133,7 @@ class TravelTimeService(Instrumented):
         self.config = config or ServiceConfig()
         self.dataset = dataset if dataset is not None else predictor.dataset
         self.metrics = metrics or MetricsRegistry()
-        self.fallback = HistoricalAverageFallback(
-            self.dataset, band_ratios=self.config.fallback_band_ratios)
+        self.fallback = HistoricalAverageFallback(self.dataset)
 
         # Live traffic state: ``apply_live_speeds`` lazily wraps the
         # training-time store in a LiveSpeedStore overlay; until then
@@ -160,9 +153,11 @@ class TravelTimeService(Instrumented):
                     "speed_slice_cache",
                     lambda: (self.slice_cache.stats()
                              if self.slice_cache else {}))
-            if self.config.route_fallback:
-                self.route_baseline = RouteTimeBaseline(
-                    self.dataset.net, lambda: self.speed_store)
+            # Tier 1 of the degradation ladder: when the model path
+            # raises, a shortest-path × current-speed estimate comes
+            # before the TEMP average.
+            self.route_baseline = RouteTimeBaseline(
+                self.dataset.net, lambda: self.speed_store)
         # Standard-schema cache-effectiveness gauges (dashboards key on
         # these names; the full stats dicts above stay for debugging).
         # A cache that does not exist on this service reads 0.0 rather
@@ -207,12 +202,7 @@ class TravelTimeService(Instrumented):
         if predictor.plan.uses_speed_matrices:
             table = SpeedSliceCache(self.speed_store,
                                     predictor.plan.traffic_codes)
-        return _ModelPath(
-            predictor,
-            ODMatchCache(predictor.index,
-                         capacity=self.config.od_cache_size,
-                         quantize_metres=self.config.match_quantize_metres),
-            table)
+        return _ModelPath(predictor, ODMatchCache(predictor.index), table)
 
     @property
     def degraded(self) -> bool:
@@ -270,33 +260,21 @@ class TravelTimeService(Instrumented):
             raise ValueError("swap_predictor needs a predictor")
         with self._write_lock:
             self._path = self._model_path(predictor)
-        if self.config.route_fallback and self.route_baseline is None:
+        if self.route_baseline is None:
             self.route_baseline = RouteTimeBaseline(
                 self.dataset.net, lambda: self.speed_store)
         self.metrics.counter("serve.model_swaps").inc()
 
     # -- query paths -----------------------------------------------------
-    def query(self, query, destination_xy: Optional[Tuple[float, float]]
-              = None, depart_time: Optional[float] = None
-              ) -> ServingResponse:
-        """Answer one query synchronously (no batching).
-
-        Accepts a :class:`~repro.trajectory.model.Query` (or legacy
-        3-tuple) as the sole argument, or the spread legacy form
-        ``query(origin_xy, destination_xy, depart_time)``.
-        """
-        if destination_xy is not None:
-            query = Query(origin_xy=tuple(query),
-                          destination_xy=tuple(destination_xy),
-                          depart_time=depart_time)
+    def query(self, query: Query) -> ServingResponse:
+        """Answer one :class:`Query` synchronously (no batching)."""
         return self.query_batch([query])[0]
 
-    def query_batch(self, queries: Sequence) -> List[ServingResponse]:
-        """Answer many queries (``Query`` objects or legacy triples)
-        in one vectorised pass."""
+    def query_batch(self, queries: Sequence[Query]
+                    ) -> List[ServingResponse]:
+        """Answer many :class:`Query` objects in one vectorised pass."""
         start = time.perf_counter()
-        responses = self._answer_batch(
-            [Query.coerce(q) for q in queries])
+        responses = self._answer_batch(list(queries))
         # Every query of a synchronous batch waits for the whole batch.
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         hist = self.metrics.histogram("latency_ms")
@@ -304,33 +282,28 @@ class TravelTimeService(Instrumented):
             hist.observe(elapsed_ms)
         return responses
 
-    def submit(self, query, destination_xy: Optional[Tuple[float, float]]
-               = None, depart_time: Optional[float] = None):
-        """Enqueue one query on the micro-batcher; returns a future.
+    def submit(self, query: Query):
+        """Enqueue one :class:`Query` on the micro-batcher; returns a
+        future.
 
         The batcher worker must be running (see :meth:`start`); the
-        future resolves to a :class:`ServingResponse`.  Accepts the
-        same query forms as :meth:`query`.  When the admission queue is
-        full (``config.max_pending``), sheds load by raising
-        :class:`SaturatedError` instead of queueing.
+        future resolves to a :class:`ServingResponse`.  When the
+        admission queue is full (``config.max_pending``), sheds load by
+        raising :class:`SaturatedError` instead of queueing.
         """
-        if destination_xy is not None:
-            query = Query(origin_xy=tuple(query),
-                          destination_xy=tuple(destination_xy),
-                          depart_time=depart_time)
         limit = self.config.max_pending
         if limit and self.batcher.pending >= limit:
             self.metrics.counter("saturated_rejections").inc()
             raise SaturatedError(
                 f"serving queue full ({limit} queries pending)")
         enqueued = time.perf_counter()
-        future = self.batcher.submit(Query.coerce(query))
+        future = self.batcher.submit(query)
         future.add_done_callback(
             lambda f: self.metrics.histogram("latency_ms").observe(
                 (time.perf_counter() - enqueued) * 1000.0))
         return future
 
-    def answer(self, query) -> ServingResponse:
+    def answer(self, query: Query) -> ServingResponse:
         """Answer one query on the best available path: through the
         micro-batcher when its worker is running (so concurrent callers
         coalesce), synchronously otherwise.  This is the front-end entry
@@ -392,14 +365,14 @@ class TravelTimeService(Instrumented):
             ods = match_queries(queries, self.dataset,
                                 self.od_cache.nearest_edges)
             seconds = self.route_baseline.estimate_from_ods(ods)
-        lo_r, hi_r = self.config.fallback_band_ratios
         return [ServingResponse(
-                    seconds=float(s), lower=float(s * lo_r),
-                    upper=float(s * hi_r),
+                    seconds=float(s), lower=lo, upper=hi,
                     origin_edge=od.origin_edge,
                     destination_edge=od.destination_edge,
                     degraded=True, source="route", degraded_tier=1)
-                for s, od in zip(seconds, ods)]
+                for s, (lo, hi), od in zip(seconds,
+                                           self.fallback.bands(seconds),
+                                           ods)]
 
     def _fallback_answers(self, queries: List[Query]
                           ) -> List[ServingResponse]:

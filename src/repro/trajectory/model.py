@@ -14,6 +14,7 @@ time) plus optional external features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -148,16 +149,26 @@ class MatchedTrajectory:
         return len(self.path)
 
 
+def _finite(name: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Query:
     """A raw travel-time query: origin, destination, departure time.
 
-    The one query type shared by :class:`~repro.core.predictor.
-    TravelTimePredictor`, the serving service and the CLI front-ends —
-    previously each layer carried its own ad-hoc
-    ``((ox, oy), (dx, dy), t)`` tuple shape.  Iterable (and therefore
-    ``*``-unpackable) in exactly that legacy order, so tuple-shaped
-    call sites keep working; :meth:`coerce` accepts either form.
+    The one query form every serving entry point takes: the predictor,
+    the service, the cluster and the CLI front-ends.  Construction
+    validates it, so a malformed or non-finite value from a client is a
+    ``ValueError`` naming the field, never a model failure further in.
+    Iterable as ``(origin_xy, destination_xy, depart_time)``, so
+    ``predictor.match_query(*query)`` unpacks it.
     """
 
     origin_xy: Tuple[float, float]
@@ -169,32 +180,17 @@ class Query:
             point = getattr(self, name)
             if not (isinstance(point, (tuple, list)) and len(point) == 2):
                 raise ValueError(f"{name} must be an (x, y) pair")
-            object.__setattr__(self, name,
-                               (float(point[0]), float(point[1])))
-        object.__setattr__(self, "depart_time", float(self.depart_time))
+            object.__setattr__(self, name, (_finite(name, point[0]),
+                                            _finite(name, point[1])))
+        t = _finite("depart_time", self.depart_time)
+        if t < 0:
+            raise ValueError(f"depart_time must be non-negative, got {t!r}")
+        object.__setattr__(self, "depart_time", t)
 
     def __iter__(self):
         yield self.origin_xy
         yield self.destination_xy
         yield self.depart_time
-
-    def as_tuple(self) -> Tuple[Tuple[float, float],
-                                Tuple[float, float], float]:
-        return (self.origin_xy, self.destination_xy, self.depart_time)
-
-    @classmethod
-    def coerce(cls, obj) -> "Query":
-        """Accept a :class:`Query` or a legacy 3-tuple unchanged."""
-        if isinstance(obj, cls):
-            return obj
-        try:
-            origin, destination, depart = obj
-        except (TypeError, ValueError):
-            raise ValueError(
-                "query must be a Query or an (origin_xy, destination_xy,"
-                f" depart_time) triple, got {obj!r}")
-        return cls(origin_xy=tuple(origin), destination_xy=tuple(destination),
-                   depart_time=depart)
 
 
 @dataclass

@@ -7,6 +7,7 @@ from repro.core import (
     DeepODConfig, DeepODTrainer, Estimate, TravelTimePredictor,
     build_deepod,
 )
+from repro.trajectory import Query
 
 
 SMALL_CFG = DeepODConfig(
@@ -26,19 +27,19 @@ def predictor(tiny_dataset):
 class TestQueries:
     def test_single_estimate(self, predictor, tiny_dataset):
         trip = tiny_dataset.split.test[0]
-        est = predictor.estimate(trip.od.origin_xy,
-                                 trip.od.destination_xy,
-                                 trip.od.depart_time)
+        est = predictor.estimate(Query(trip.od.origin_xy,
+                                       trip.od.destination_xy,
+                                       trip.od.depart_time))
         assert isinstance(est, Estimate)
         assert est.lower <= est.seconds <= est.upper
         assert est.seconds > 0
 
     def test_batch_matches_single(self, predictor, tiny_dataset):
         trips = tiny_dataset.split.test[:3]
-        queries = [(t.od.origin_xy, t.od.destination_xy,
-                    t.od.depart_time) for t in trips]
+        queries = [Query(t.od.origin_xy, t.od.destination_xy,
+                         t.od.depart_time) for t in trips]
         batch = predictor.estimate_batch(queries)
-        single = [predictor.estimate(*q) for q in queries]
+        single = [predictor.estimate(q) for q in queries]
         for b, s in zip(batch, single):
             assert b.seconds == pytest.approx(s.seconds)
 
@@ -75,10 +76,10 @@ class TestCalibration:
         narrow = TravelTimePredictor(trainer, coverage=0.5)
         wide = TravelTimePredictor(trainer, coverage=0.95)
         trip = tiny_dataset.split.test[0]
-        q = (trip.od.origin_xy, trip.od.destination_xy,
-             trip.od.depart_time)
-        n = narrow.estimate(*q)
-        w = wide.estimate(*q)
+        q = Query(trip.od.origin_xy, trip.od.destination_xy,
+                  trip.od.depart_time)
+        n = narrow.estimate(q)
+        w = wide.estimate(q)
         assert (w.upper - w.lower) >= (n.upper - n.lower)
 
     def test_invalid_coverage(self, tiny_dataset):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.serving import ClusterConfig, ServingCluster
 from repro.serving.cluster.worker import _WorkerState
+from repro.trajectory import Query
 
 
 @pytest.fixture()
@@ -50,5 +51,5 @@ def cluster_factory(artifact_dir, serving_dataset):
 
 
 def sample_queries(dataset, n=8):
-    return [(t.od.origin_xy, t.od.destination_xy, t.od.depart_time)
+    return [Query(t.od.origin_xy, t.od.destination_xy, t.od.depart_time)
             for t in dataset.split.test[:n]]

@@ -2,12 +2,14 @@
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.obs import validate_metrics_snapshot
 from repro.serving import ClusterConfig, ServingCluster, TravelTimeService
 from repro.serving.cluster import synthetic_queries
+from repro.trajectory import Query
 
 from .conftest import sample_queries
 
@@ -41,11 +43,13 @@ class TestCorrectness:
     def test_query_single_and_legacy_forms(self, cluster_factory,
                                            serving_dataset):
         cluster = cluster_factory(num_workers=2)
-        origin, dest, t = sample_queries(serving_dataset, 1)[0]
-        a = cluster.query((origin, dest, t))
-        b = cluster.query(origin, dest, t)
+        query = sample_queries(serving_dataset, 1)[0]
+        a = cluster.query(query)
+        b = cluster.query_batch([query])[0]
         assert a.to_dict() == b.to_dict()
         assert a.source == "model" and not a.degraded
+        with pytest.raises(TypeError):      # the spread form is gone
+            cluster.query(*query)
 
     def test_empty_batch(self, cluster_factory):
         assert cluster_factory(num_workers=2).query_batch([]) == []
@@ -103,7 +107,7 @@ class TestLifecycle:
         cluster = ServingCluster(artifact_dir, dataset=serving_dataset,
                                  config=ClusterConfig(num_workers=1))
         with pytest.raises(RuntimeError, match="start"):
-            cluster.query_batch([((0.0, 0.0), (1.0, 1.0), 0.0)])
+            cluster.query_batch([Query((0.0, 0.0), (1.0, 1.0), 0.0)])
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -148,3 +152,16 @@ class TestHealth:
         assert snap["histograms"]["cluster.latency_ms"]["count"] == 8
         assert "cluster.shards" in snap["gauges"]
         validate_metrics_snapshot(snap)
+
+    def test_batch_latency_is_the_batch_wall(self, cluster_factory,
+                                             serving_dataset):
+        # As in TravelTimeService.query_batch: every query of a
+        # synchronous batch waits for the whole batch.
+        cluster = cluster_factory(num_workers=1)
+        queries = synthetic_queries(serving_dataset, 32, seed=4)
+        start = time.perf_counter()
+        cluster.query_batch(queries)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        hist = cluster.metrics.histogram("cluster.latency_ms")
+        assert hist.count == 32
+        assert hist.percentile(100) >= 0.5 * wall_ms

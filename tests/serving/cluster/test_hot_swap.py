@@ -32,9 +32,7 @@ from repro.serving import (
 )
 from repro.serving import artifact as artifact_mod
 from repro.serving.cluster import synthetic_queries
-from repro.serving.cluster.worker import (
-    WorkerOptions, row_to_response, worker_main,
-)
+from repro.serving.cluster.worker import row_to_response, worker_main
 
 from ..conftest import TINY_CFG, TINY_DAYS, TINY_TRIPS
 
@@ -85,7 +83,7 @@ class TestHotSwap:
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
-            config=ClusterConfig(num_workers=2, swap_poll_s=0.02))
+            config=ClusterConfig(num_workers=2))
         cluster.start()
         try:
             queries = synthetic_queries(serving_dataset, 8, seed=23)
@@ -168,7 +166,7 @@ class TestHotSwap:
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
-            config=ClusterConfig(num_workers=1, swap_poll_s=0.02))
+            config=ClusterConfig(num_workers=1))
         cluster.start()
         try:
             old_real = os.path.realpath(current)
@@ -190,7 +188,7 @@ class TestHotSwap:
         current = str(deployment / "current")
         cluster = ServingCluster(
             current, dataset=serving_dataset,
-            config=ClusterConfig(num_workers=1, swap_poll_s=0.02))
+            config=ClusterConfig(num_workers=1))
         cluster.start()
         try:
             old_real = os.path.realpath(current)
@@ -236,7 +234,7 @@ def test_spawned_worker_serves_from_the_bundle(artifact_dir, serving_dataset,
     parent, child = multiprocessing.Pipe(duplex=True)
     worker = threading.Thread(
         target=worker_main,
-        args=(child, 0, artifact_dir, None, WorkerOptions(swap_poll_s=0.02)))
+        args=(child, 0, artifact_dir, None))
     worker.start()
     try:
         parent.send(("batch", [tuple(q) for q in queries]))

@@ -20,7 +20,7 @@ class TestRegionRouting:
     def test_same_cell_same_shard(self):
         # Cache affinity: every pickup inside one 500m cell lands on
         # one worker, whatever the exact coordinates.
-        router = ShardRouter(4, cell_metres=500.0)
+        router = ShardRouter(4)
         shards = {router.shard_of(q(x, y))
                   for x in (1000.0, 1200.0, 1499.0)
                   for y in (2000.0, 2300.0, 2499.0)}
@@ -36,7 +36,7 @@ class TestRegionRouting:
         assert a == b
 
     def test_spreads_over_shards(self):
-        router = ShardRouter(4, cell_metres=100.0)
+        router = ShardRouter(4)
         shards = {router.shard_of(q(937.0 * i, 613.0 * (i % 17)))
                   for i in range(200)}
         assert shards == {0, 1, 2, 3}

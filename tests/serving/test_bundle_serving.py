@@ -16,7 +16,7 @@ from repro.core.predictor import normalize_depart_time
 from repro.datagen import DatasetSpec, build
 from repro.datagen.trips import TripGenerator
 from repro.serving import (
-    ServiceConfig, TravelTimeService, load_artifact, save_artifact,
+    RouteTimeBaseline, TravelTimeService, load_artifact, save_artifact,
 )
 from repro.serving import artifact as artifact_mod
 from repro.serving.cluster import synthetic_queries
@@ -101,9 +101,8 @@ def test_every_tier_serves_from_the_bundle_alone(saved, monkeypatch,
                             broken)
         route = _same(services, lambda s: s.query_batch(queries))
         assert {row[-1] for row in route} == {"route"}
-        temp_only = [TravelTimeService(p, config=ServiceConfig(
-            route_fallback=False)) for p in predictors]
-        temp = _same(temp_only, lambda s: s.query_batch(queries))
+        monkeypatch.setattr(RouteTimeBaseline, "estimate_from_ods", broken)
+        temp = _same(services, lambda s: s.query_batch(queries))
         assert {row[-1] for row in temp} == {"fallback"}
     finally:
         for service in services:

@@ -6,13 +6,20 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.predictor
+import repro.serving.cluster
+import repro.serving.cluster.worker
 from repro.cli import main
+from repro.core import TravelTimePredictor
 from repro.obs.cache import LRUCache
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serving import (
-    ClusterConfig, MicroBatcher, ODMatchCache, ServiceConfig,
-    SpeedSliceCache,
+    ClusterConfig, HistoricalAverageFallback, MicroBatcher, ODMatchCache,
+    ServiceConfig, ServingCluster, SpeedSliceCache, TravelTimeService,
 )
+from repro.serving.cluster import ShardRouter
+from repro.serving.cluster.worker import worker_main
+from repro.trajectory import Query
 
 
 class TestLRUCache:
@@ -57,14 +64,6 @@ class TestODMatchCache:
         assert cache.nearest_edge(*point) == direct
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_quantized_keys_coalesce_jitter(self, trained_predictor):
-        cache = ODMatchCache(trained_predictor.index, capacity=16,
-                             quantize_metres=50.0)
-        x, y = trained_predictor.dataset.trips[0].od.origin_xy
-        cache.nearest_edge(x, y)
-        cache.nearest_edge(x + 1.0, y - 1.0)   # same 50 m key
-        assert cache.stats()["hits"] == 1
 
 
 def _counting_encoder(calls):
@@ -248,6 +247,68 @@ class TestRetiredBatchingWindow:
                   "--max-wait-ms", "5"])
         assert excinfo.value.code == 2
         assert "--max-wait-ms" in capsys.readouterr().err
+
+
+SPREAD = ((0.0, 0.0), (1.0, 1.0), 0.0)   # origin, destination, t
+
+# Each deleted serving field, parameter or spread query form, called
+# the way a caller of the old one would.  None may be silently ignored.
+RETIRED_KNOBS = {
+    "ServiceConfig.od_cache_size":
+        lambda: ServiceConfig(od_cache_size=8),
+    "ServiceConfig.match_quantize_metres":
+        lambda: ServiceConfig(match_quantize_metres=50.0),
+    "ServiceConfig.fallback_band_ratios":
+        lambda: ServiceConfig(fallback_band_ratios=(0.5, 2.0)),
+    "ServiceConfig.route_fallback":
+        lambda: ServiceConfig(route_fallback=False),
+    "ODMatchCache.quantize_metres":
+        lambda: ODMatchCache(None, quantize_metres=50.0),
+    "HistoricalAverageFallback.band_ratios":
+        lambda: HistoricalAverageFallback(None, band_ratios=(0.5, 2.0)),
+    "ClusterConfig.cell_metres":
+        lambda: ClusterConfig(cell_metres=100.0),
+    "ClusterConfig.saturation_fallback":
+        lambda: ClusterConfig(saturation_fallback=True),
+    "ClusterConfig.swap_poll_s":
+        lambda: ClusterConfig(swap_poll_s=0.02),
+    "ClusterConfig.service":
+        lambda: ClusterConfig(service=ServiceConfig()),
+    "ShardRouter.cell_metres":
+        lambda: ShardRouter(4, cell_metres=100.0),
+    "worker_main.options":
+        lambda: worker_main(None, 0, "", None, object()),
+    "TravelTimePredictor.estimate_spread":
+        lambda: TravelTimePredictor.estimate(None, *SPREAD),
+    "TravelTimeService.query_spread":
+        lambda: TravelTimeService.query(None, *SPREAD),
+    "TravelTimeService.submit_spread":
+        lambda: TravelTimeService.submit(None, *SPREAD),
+    "ServingCluster.query_spread":
+        lambda: ServingCluster.query(None, *SPREAD),
+    "ServingCluster.submit_spread":
+        lambda: ServingCluster.submit(None, *SPREAD),
+}
+
+
+class TestRetiredServingKnobs:
+    """``Query`` is the only query form, and the serving values only
+    tests ever set are gone: each is rejected, never ignored."""
+
+    @pytest.mark.parametrize("knob", sorted(RETIRED_KNOBS))
+    def test_rejected(self, knob):
+        with pytest.raises(TypeError):
+            RETIRED_KNOBS[knob]()
+
+    @pytest.mark.parametrize("owner, name", [
+        (Query, "coerce"), (Query, "as_tuple"),
+        (repro.core.predictor, "QueryLike"),
+        (repro.serving.cluster, "WorkerOptions"),
+        (repro.serving.cluster.worker, "WorkerOptions"),
+        (ClusterConfig, "worker_options"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_names_removed(self, owner, name):
+        assert not hasattr(owner, name)
 
 
 class TestMetrics:

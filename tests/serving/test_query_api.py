@@ -1,4 +1,4 @@
-"""The typed Query API: tuple equivalence, depart-time hygiene, and
+"""The typed Query API: the one query form, depart-time hygiene, and
 trace coverage of the threaded HTTP front-end."""
 
 import json
@@ -21,20 +21,15 @@ def sample_tuples(dataset, n=5):
 
 
 class TestQueryType:
-    def test_coerce_accepts_query_and_tuple(self):
-        query = Query(origin_xy=(1.0, 2.0), destination_xy=(3.0, 4.0),
-                      depart_time=60.0)
-        assert Query.coerce(query) is query
-        assert Query.coerce(((1, 2), (3, 4), 60)) == query
-
     def test_coerce_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            Query.coerce(((1, 2), (3, 4)))          # missing time
-        with pytest.raises(ValueError):
-            Query.coerce("not a query")
         with pytest.raises(ValueError):
             Query(origin_xy=(1.0,), destination_xy=(3.0, 4.0),
                   depart_time=0.0)
+        with pytest.raises(ValueError, match="destination_xy"):
+            Query(origin_xy=(1.0, 2.0), destination_xy=(None, 4.0),
+                  depart_time=0.0)
+        with pytest.raises(TypeError):
+            Query((1, 2), (3, 4))                   # missing time
 
     def test_iter_unpacks_as_legacy_triple(self):
         query = Query(origin_xy=(1.0, 2.0), destination_xy=(3.0, 4.0),
@@ -42,7 +37,6 @@ class TestQueryType:
         origin, destination, depart = query
         assert (origin, destination, depart) == \
             ((1.0, 2.0), (3.0, 4.0), 60.0)
-        assert query.as_tuple() == ((1.0, 2.0), (3.0, 4.0), 60.0)
 
     def test_parse_query_returns_typed_query(self):
         query = parse_query({"origin": [1, 2], "destination": [3, 4],
@@ -54,33 +48,26 @@ class TestQueryType:
 class TestPredictorEquivalence:
     def test_estimate_query_equals_spread_form(self, trained_predictor,
                                                serving_dataset):
+        # ``match_query`` keeps the spread (origin, destination, t) form.
         origin, dest, t = sample_tuples(serving_dataset, 1)[0]
-        spread = trained_predictor.estimate(origin, dest, t)
+        spread = trained_predictor.estimate_from_ods(
+            [trained_predictor.match_query(origin, dest, t)])[0]
         typed = trained_predictor.estimate(
             Query(origin_xy=origin, destination_xy=dest, depart_time=t))
-        bare = trained_predictor.estimate((origin, dest, t))
-        assert typed == spread == bare
+        assert typed == spread
 
     def test_estimate_batch_query_equals_tuples(self, trained_predictor,
                                                 serving_dataset):
         tuples = sample_tuples(serving_dataset, 5)
         typed = [Query(origin_xy=o, destination_xy=d, depart_time=t)
                  for o, d, t in tuples]
-        from_tuples = trained_predictor.estimate_batch(tuples)
+        from_tuples = trained_predictor.estimate_from_ods(
+            [trained_predictor.match_query(*q) for q in tuples])
         from_queries = trained_predictor.estimate_batch(typed)
         assert [e.seconds for e in from_queries] == \
             [e.seconds for e in from_tuples]
         assert [e.lower for e in from_queries] == \
             [e.lower for e in from_tuples]
-
-    def test_service_accepts_both_forms(self, trained_predictor,
-                                        serving_dataset):
-        service = TravelTimeService(trained_predictor)
-        origin, dest, t = sample_tuples(serving_dataset, 1)[0]
-        typed = service.query(
-            Query(origin_xy=origin, destination_xy=dest, depart_time=t))
-        spread = service.query(origin, dest, t)
-        assert typed.seconds == pytest.approx(spread.seconds)
 
 
 class TestDepartTimeHygiene:
@@ -92,8 +79,10 @@ class TestDepartTimeHygiene:
         assert od.depart_time == horizon - 1.0
         # The estimate built from that OD is the same as one for the
         # last representable second — no out-of-range slot ever forms.
-        clamped = trained_predictor.estimate(origin, dest, horizon + 9999)
-        edge = trained_predictor.estimate(origin, dest, horizon - 1.0)
+        clamped = trained_predictor.estimate(Query(origin, dest,
+                                                   horizon + 9999))
+        edge = trained_predictor.estimate(Query(origin, dest,
+                                                horizon - 1.0))
         assert clamped == edge
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
@@ -102,16 +91,18 @@ class TestDepartTimeHygiene:
                                              trained_predictor,
                                              serving_dataset):
         origin, dest, _ = sample_tuples(serving_dataset, 1)[0]
+        with pytest.raises(ValueError, match="depart_time"):
+            Query(origin, dest, bad)
         with pytest.raises(ValueError):
-            trained_predictor.estimate(origin, dest, bad)
+            trained_predictor.match_query(origin, dest, bad)
 
     def test_service_clamps_like_predictor(self, trained_predictor,
                                            serving_dataset):
         service = TravelTimeService(trained_predictor)
         origin, dest, _ = sample_tuples(serving_dataset, 1)[0]
         horizon = serving_dataset.horizon_seconds
-        over = service.query(origin, dest, horizon + 9999)
-        edge = service.query(origin, dest, horizon - 1.0)
+        over = service.query(Query(origin, dest, horizon + 9999))
+        edge = service.query(Query(origin, dest, horizon - 1.0))
         assert over.seconds == pytest.approx(edge.seconds)
 
     def test_normalize_depart_time_direct(self):

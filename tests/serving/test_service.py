@@ -11,9 +11,10 @@ import pytest
 
 from repro.cli import main
 from repro.serving import (
-    SaturatedError, ServiceConfig, ServingHTTPServer, TravelTimeService,
-    parse_query, run_jsonl_loop,
+    RouteTimeBaseline, SaturatedError, ServiceConfig, ServingHTTPServer,
+    TravelTimeService, parse_query, run_jsonl_loop,
 )
+from repro.trajectory import Query
 
 
 @pytest.fixture()
@@ -22,16 +23,16 @@ def service(trained_predictor):
 
 
 def sample_queries(dataset, n=5):
-    return [(t.od.origin_xy, t.od.destination_xy, t.od.depart_time)
+    return [Query(t.od.origin_xy, t.od.destination_xy, t.od.depart_time)
             for t in dataset.split.test[:n]]
 
 
 class TestModelPath:
     def test_query_matches_predictor(self, service, trained_predictor,
                                      serving_dataset):
-        origin, dest, t = sample_queries(serving_dataset, 1)[0]
-        response = service.query(origin, dest, t)
-        estimate = trained_predictor.estimate(origin, dest, t)
+        query = sample_queries(serving_dataset, 1)[0]
+        response = service.query(query)
+        estimate = trained_predictor.estimate(query)
         assert response.seconds == pytest.approx(estimate.seconds)
         assert response.lower == pytest.approx(estimate.lower)
         assert response.upper == pytest.approx(estimate.upper)
@@ -42,19 +43,19 @@ class TestModelPath:
         queries = sample_queries(serving_dataset, 5)
         responses = service.query_batch(queries)
         assert len(responses) == 5
-        singles = [service.query(*q).seconds for q in queries]
+        singles = [service.query(q).seconds for q in queries]
         assert [r.seconds for r in responses] == pytest.approx(singles)
 
     def test_repeat_queries_hit_match_cache(self, service, serving_dataset):
         query = sample_queries(serving_dataset, 1)[0]
-        service.query(*query)
-        service.query(*query)
+        service.query(query)
+        service.query(query)
         stats = service.od_cache.stats()
         assert stats["hits"] >= 2          # both endpoints cached
 
     def test_metrics_accounting(self, service, serving_dataset):
         for query in sample_queries(serving_dataset, 3):
-            service.query(*query)
+            service.query(query)
         snap = service.metrics_snapshot()
         assert snap["counters"]["queries_total"] == 3
         assert snap["counters"]["model_answers"] == 3
@@ -84,11 +85,11 @@ class TestModelPath:
         queries = sample_queries(serving_dataset, 4)
         service.start()
         try:
-            futures = [service.submit(*q) for q in queries]
+            futures = [service.submit(q) for q in queries]
             results = [f.result(timeout=10) for f in futures]
         finally:
             service.stop()
-        direct = [service.query(*q).seconds for q in queries]
+        direct = [service.query(q).seconds for q in queries]
         assert [r.seconds for r in results] == pytest.approx(direct)
         assert service.metrics.histogram("batch_size").count >= 1
 
@@ -101,9 +102,9 @@ class TestCapacity:
         service = TravelTimeService(
             trained_predictor, config=ServiceConfig(max_pending=2))
         queries = sample_queries(serving_dataset, 5)
-        futures = [service.submit(*queries[0]) for _ in range(2)]
+        futures = [service.submit(queries[0]) for _ in range(2)]
         with pytest.raises(SaturatedError) as excinfo:
-            service.submit(*queries[1])
+            service.submit(queries[1])
         assert excinfo.value.retry_after_s > 0
         snap = service.metrics_snapshot()
         assert snap["counters"]["saturated_rejections"] == 1
@@ -113,7 +114,7 @@ class TestCapacity:
 
     def test_unbounded_by_default(self, service, serving_dataset):
         query = sample_queries(serving_dataset, 1)[0]
-        futures = [service.submit(*query) for _ in range(64)]
+        futures = [service.submit(query) for _ in range(64)]
         service.batcher.drain()
         assert all(f.result(timeout=0).seconds > 0 for f in futures)
 
@@ -140,8 +141,8 @@ class TestCacheGauges:
         from repro.obs import validate_metrics_snapshot
         service = TravelTimeService(trained_predictor)
         query = sample_queries(serving_dataset, 1)[0]
-        service.query(*query)
-        service.query(*query)
+        service.query(query)
+        service.query(query)
         snap = service.metrics_snapshot()
         validate_metrics_snapshot(snap)
         assert snap["gauges"]["serve.cache.od.hit_rate"] > 0.0
@@ -162,7 +163,7 @@ class TestFallback:
             raise RuntimeError("injected model failure")
         monkeypatch.setattr(service.predictor, "estimate_from_ods",
                             explode)
-        response = service.query(*sample_queries(serving_dataset, 1)[0])
+        response = service.query(sample_queries(serving_dataset, 1)[0])
         assert response.degraded
         assert response.source == "route"
         assert response.degraded_tier == 1
@@ -183,7 +184,7 @@ class TestFallback:
                             explode)
         monkeypatch.setattr(service.route_baseline, "estimate_from_ods",
                             explode)
-        response = service.query(*sample_queries(serving_dataset, 1)[0])
+        response = service.query(sample_queries(serving_dataset, 1)[0])
         assert response.degraded
         assert response.source == "fallback"
         assert response.degraded_tier == 2
@@ -193,23 +194,25 @@ class TestFallback:
 
     def test_route_tier_can_be_disabled(self, trained_predictor,
                                         serving_dataset, monkeypatch):
-        from repro.serving import ServiceConfig
-        service = TravelTimeService(
-            trained_predictor, config=ServiceConfig(route_fallback=False))
-        assert service.route_baseline is None
+        # A service with a model always has the route tier; with that
+        # tier out of action the ladder bottoms out at TEMP.
+        service = TravelTimeService(trained_predictor)
+        assert service.route_baseline is not None
 
         def explode(*args, **kwargs):
-            raise RuntimeError("injected model failure")
+            raise RuntimeError("injected failure")
         monkeypatch.setattr(service.predictor, "estimate_from_ods",
                             explode)
-        response = service.query(*sample_queries(serving_dataset, 1)[0])
+        monkeypatch.setattr(RouteTimeBaseline, "estimate_from_ods",
+                            explode)
+        response = service.query(sample_queries(serving_dataset, 1)[0])
         assert response.source == "fallback"
         assert response.degraded_tier == 2
 
     def test_fallback_only_service(self, serving_dataset):
         service = TravelTimeService(dataset=serving_dataset)
         assert service.degraded
-        response = service.query(*sample_queries(serving_dataset, 1)[0])
+        response = service.query(sample_queries(serving_dataset, 1)[0])
         assert response.degraded and response.source == "fallback"
         assert response.degraded_tier == 2
 
@@ -236,6 +239,32 @@ class TestJsonLines:
         assert payloads[0]["source"] == "model"
         assert "error" in payloads[1]
         assert payloads[2]["counters"]["queries_total"] == 1
+
+    def test_malformed_values_are_error_lines(self, service,
+                                              serving_dataset):
+        # json.loads accepts NaN and Infinity; neither they nor a null
+        # coordinate may reach the model (or end the loop).
+        origin, dest, t = sample_queries(serving_dataset, 1)[0]
+        valid = {"origin": list(origin), "destination": list(dest),
+                 "depart_time": t}
+        lines = [json.dumps(dict(valid, depart_time=float("nan"))),
+                 json.dumps(dict(valid, depart_time=float("inf"))),
+                 json.dumps(dict(valid, origin=[None, 1.0])),
+                 json.dumps(valid)]
+        out = io.StringIO()
+        answered = run_jsonl_loop(service, io.StringIO("\n".join(lines)),
+                                  out)
+        assert answered == 1
+        payloads = [json.loads(line) for line in
+                    out.getvalue().strip().splitlines()]
+        assert "depart_time" in payloads[0]["error"]
+        assert "depart_time" in payloads[1]["error"]
+        assert "origin_xy" in payloads[2]["error"]
+        assert payloads[3]["source"] == "model"
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["queries_total"] == 1
+        assert "model_failures" not in counters
+        assert "route_failures" not in counters
 
     def test_parse_query_validation(self):
         with pytest.raises(ValueError):
@@ -284,6 +313,30 @@ class TestHTTP:
             thread.join(timeout=5)
             service.stop()
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_http_non_finite_depart_time_is_400(self, service, bad):
+        server = ServingHTTPServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        port = server.server_address[1]
+        body = ('{"origin": [300, 300], "destination": [1500, 1400], '
+                f'"depart_time": {bad}}}').encode()
+        try:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/estimate", data=body,
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 400
+            assert "depart_time" in json.loads(excinfo.value.read())["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        counters = service.metrics_snapshot()["counters"]
+        for name in ("queries_total", "model_failures", "route_failures"):
+            assert counters.get(name, 0) == 0
+
     def test_http_bad_request(self, service):
         server = ServingHTTPServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -314,6 +367,12 @@ class TestServeCLI:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["source"] == "model"
         assert payload["seconds"] > 0
+
+    def test_serve_query_rejects_nan_depart_time(self, artifact_dir):
+        query = ('{"origin": [300, 300], "destination": [1500, 1400], '
+                 '"depart_time": NaN}')
+        with pytest.raises(SystemExit, match="depart_time"):
+            main(["serve", "--artifact", artifact_dir, "--query", query])
 
     def test_serve_rejects_bad_artifact(self, tmp_path):
         with pytest.raises(SystemExit):

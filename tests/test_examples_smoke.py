@@ -1,7 +1,7 @@
 """Smoke tests: the fast examples must run end-to-end.
 
-Only the examples without heavyweight training runs are exercised here
-(the training ones are covered functionally by the core test suites).
+Only the examples that finish in seconds are exercised here (the long
+training ones are covered functionally by the core test suites).
 """
 
 import os
@@ -37,6 +37,15 @@ class TestExamples:
         assert "bitwise-identical to uninterrupted run: True" in out
         assert "promoted=True" in out
         assert "promoted=False" in out
+
+    def test_serving_predictor(self, capsys):
+        run_example("serving_predictor.py")
+        assert "rush-hour vs night ratio:" in capsys.readouterr().out
+
+    def test_serving_service(self, capsys):
+        run_example("serving_service.py")
+        out = capsys.readouterr().out
+        assert "after injected failure: source=route degraded=True" in out
 
     def test_examples_exist_and_have_docstrings(self):
         expected = {
