@@ -31,13 +31,13 @@ last bits), and the parity tests pin that at 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..datagen.weather import N_WEATHER_TYPES
 from ..temporal.timeslot import TimeSlotConfig
-from ..trajectory.model import ODInput
+from ..trajectory.model import ODBatch, ODInput
 from .model import DeepOD
 
 _Mlp = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -203,17 +203,15 @@ class InferencePlan:
         return self._external_mlp is not None
 
     # ------------------------------------------------------------------
-    def predict(self, ods: Sequence[ODInput],
+    def predict(self, ods: Union[ODBatch, Sequence[ODInput]],
                 speed_matrices: Optional[np.ndarray] = None,
                 traffic: Optional[np.ndarray] = None) -> np.ndarray:
-        """Travel times in seconds for OD inputs (``DeepOD.predict``)."""
-        cols = np.array([(od.origin_edge, od.destination_edge,
-                          od.ratio_start, od.ratio_end, od.depart_time,
-                          od.weather) for od in ods],
-                        dtype=np.float64).reshape(-1, 6)
-        edges = cols[:, :2].astype(np.int64)
-        return self.run(edges[:, 0], edges[:, 1], cols[:, 2], cols[:, 3],
-                        cols[:, 4], cols[:, 5].astype(np.int64),
+        """Travel times in seconds for OD inputs (``DeepOD.predict``):
+        an :class:`ODBatch`, or :class:`ODInput` rows turned into one."""
+        batch = ODBatch.from_rows(ods)
+        return self.run(batch.origin_edge, batch.destination_edge,
+                        batch.ratio_start, batch.ratio_end,
+                        batch.depart_time, batch.weather,
                         speed_matrices, traffic=traffic)
 
     def run(self, origin_edges: np.ndarray, destination_edges: np.ndarray,
@@ -242,8 +240,9 @@ class InferencePlan:
                        self._road[destination_edges]]
         slot_cfg = self.slot_config
         slots = slot_cfg.slots_of(depart_times)
-        remainders = slot_cfg.remainders_of(depart_times) / \
-            slot_cfg.slot_seconds
+        # Eq. 3's remainder (``remainders_of``) on the slots just taken.
+        remainders = (depart_times - slot_cfg.base_timestamp
+                      - slots * slot_cfg.slot_seconds) / slot_cfg.slot_seconds
         if self._slots is not None:
             pieces.append(self._slots[slots % len(self._slots)])
         if self._external_mlp is not None:

@@ -11,14 +11,16 @@ confidence intervals calibrated on validation residuals.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..datagen.dataset import TaxiDataset
 from ..roadnet.spatial_index import SpatialIndex
-from ..trajectory.model import ODInput, Query
+from ..trajectory.model import ODBatch, ODInput, Query
 from .inference import InferencePlan
 from .model import DeepOD
 from .trainer import DeepODTrainer
@@ -47,37 +49,46 @@ def normalize_depart_time(depart_time: float,
     return min(t, float(horizon_seconds) - 1.0)
 
 
+def clamp_depart_times(depart_times: np.ndarray,
+                       horizon_seconds: float) -> np.ndarray:
+    """The clamp of :func:`normalize_depart_time` on a column of
+    departure times that :class:`Query` has already validated."""
+    return np.minimum(depart_times, float(horizon_seconds) - 1.0)
+
+
 def match_queries(queries: Sequence[Query], dataset: TaxiDataset,
-                  snap: Snapper) -> List[ODInput]:
+                  snap: Snapper) -> ODBatch:
     """Snap raw-coordinate queries onto the road network (Section 3).
 
-    Departure times, already validated by :class:`Query`, are clamped
-    to the horizon first (:func:`normalize_depart_time`), so each OD
-    input carries the value every downstream lookup uses.  Then both
-    endpoints of every query, origin before destination, are snapped in
-    one ``snap`` call: ``SpatialIndex.nearest_edges``, or the serving
-    layer's cached ``ODMatchCache.nearest_edges``.
+    Returns the batch as columns, in query order.  Departure times,
+    already validated by :class:`Query`, are clamped to the horizon
+    (:func:`clamp_depart_times`), so every downstream lookup (slot
+    embedding, speed-matrix slice, weather) reads one value; the
+    weather is one :meth:`~repro.datagen.weather.WeatherProcess.categories`
+    gather.  Both endpoints of every query, origin before destination,
+    are snapped in one ``snap`` call: ``SpatialIndex.nearest_edges``, or
+    the serving layer's cached ``ODMatchCache.nearest_edges``.
     """
-    times = [normalize_depart_time(q.depart_time, dataset.horizon_seconds)
-             for q in queries]
-    points = [p for q in queries for p in (q.origin_xy, q.destination_xy)]
-    hits = snap([p[0] for p in points], [p[1] for p in points])
-    ods = []
-    for i, (query, t) in enumerate(zip(queries, times)):
-        o_edge, _, o_ratio = hits[2 * i]
-        d_edge, _, d_ratio = hits[2 * i + 1]
-        ods.append(ODInput(
-            origin_xy=query.origin_xy,
-            destination_xy=query.destination_xy, depart_time=t,
-            origin_edge=o_edge, destination_edge=d_edge,
-            ratio_start=o_ratio, ratio_end=d_ratio,
-            weather=dataset.weather.category(t)))
-    return ods
+    n = len(queries)
+    cols = np.fromiter(chain.from_iterable(
+        (*q.origin_xy, *q.destination_xy, q.depart_time) for q in queries),
+        dtype=np.float64, count=5 * n).reshape(n, 5)
+    times = clamp_depart_times(cols[:, 4], dataset.horizon_seconds)
+    points = cols[:, :4].ravel().tolist()       # x, y, x, y, ...
+    hits = np.fromiter(chain.from_iterable(snap(points[0::2], points[1::2])),
+                       dtype=np.float64, count=6 * n).reshape(n, 2, 3)
+    edges = hits[:, :, 0].astype(np.int64)
+    return ODBatch(origin_xy=cols[:, 0:2], destination_xy=cols[:, 2:4],
+                   depart_time=times,
+                   origin_edge=edges[:, 0], destination_edge=edges[:, 1],
+                   ratio_start=hits[:, 0, 2], ratio_end=hits[:, 1, 2],
+                   weather=dataset.weather.categories(times))
 
 
 @dataclass
 class Estimate:
-    """A travel-time estimate with a calibrated uncertainty band."""
+    """A travel-time estimate with a calibrated uncertainty band: the
+    one-row view of :class:`Estimates`."""
 
     seconds: float
     lower: float        # e.g. 10th percentile band
@@ -88,6 +99,46 @@ class Estimate:
     def __post_init__(self):
         if not (self.lower <= self.seconds <= self.upper):
             raise ValueError("estimate must lie inside its band")
+
+
+class Estimates(abc.Sequence):
+    """Estimates of a batch, as columns: ``seconds``, ``lower`` and
+    ``upper`` float64 and the matched ``origin_edge`` /
+    ``destination_edge`` int64, one entry per OD in input order.
+
+    Indexing and iteration yield :class:`Estimate` row views; two
+    batches, or a batch and a list of rows, are equal when their rows
+    are.
+    """
+
+    __slots__ = ("seconds", "lower", "upper", "origin_edge",
+                 "destination_edge")
+
+    def __init__(self, seconds: np.ndarray, lower: np.ndarray,
+                 upper: np.ndarray, origin_edge: np.ndarray,
+                 destination_edge: np.ndarray):
+        if not ((lower <= seconds) & (seconds <= upper)).all():
+            raise ValueError("estimate must lie inside its band")
+        self.seconds = seconds
+        self.lower = lower
+        self.upper = upper
+        self.origin_edge = origin_edge
+        self.destination_edge = destination_edge
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __getitem__(self, i: int) -> Estimate:
+        return Estimate(seconds=float(self.seconds[i]),
+                        lower=float(self.lower[i]),
+                        upper=float(self.upper[i]),
+                        origin_edge=int(self.origin_edge[i]),
+                        destination_edge=int(self.destination_edge[i]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class TravelTimePredictor:
@@ -208,40 +259,51 @@ class TravelTimePredictor:
         """Estimate one trip from a raw-coordinate :class:`Query`."""
         return self.estimate_batch([query])[0]
 
-    def estimate_batch(self, queries: Sequence[Query]) -> List[Estimate]:
+    def estimate_batch(self, queries: Sequence[Query]) -> Estimates:
         """Estimate many :class:`Query` objects in one vectorised pass."""
         if not len(queries):
-            return []
-        ods = match_queries(queries, self.dataset, self.index.nearest_edges)
-        return self.estimate_from_ods(ods)
+            return self.estimate_from_ods([])
+        return self.estimate_from_ods(
+            match_queries(queries, self.dataset, self.index.nearest_edges))
 
-    def estimate_from_ods(self, ods: Sequence[ODInput],
+    def estimate_from_ods(self, ods: Union[ODBatch, Sequence[ODInput]],
                           speed_matrices: Optional[np.ndarray] = None,
                           traffic: Optional[np.ndarray] = None
-                          ) -> List[Estimate]:
-        """Estimate pre-matched OD inputs.
+                          ) -> Estimates:
+        """Estimate pre-matched OD inputs: an :class:`ODBatch`, or
+        :class:`ODInput` rows turned into one first.
 
         The serving layer uses this entry point so it can supply its own
-        (cached) map matches and traffic condition: one speed matrix per
-        OD, or its D_traf row (``traffic``, from the serving layer's
-        per-period code table).  With neither, the matrices are read
-        from the dataset's store.  ``estimate_batch`` funnels through
-        here after matching from raw coordinates.
+        (cached) map matches and traffic condition: its D_traf rows
+        (``traffic``, from the serving layer's per-period code table),
+        or one speed matrix per OD, each then encoded on its own.  With
+        neither, each distinct Δt period of the batch is read from the
+        dataset's store and encoded once.  ``estimate_batch`` funnels
+        through here after matching from raw coordinates.
         """
-        if not len(ods):
-            return []
-        mats = speed_matrices
-        if mats is None and traffic is None and self.plan.uses_speed_matrices:
-            store = self.dataset.speed_store
-            mats = np.stack([store.normalized_matrix_before(od.depart_time)
-                             for od in ods])
-        preds = self.plan.predict(ods, mats, traffic=traffic)
-        return [Estimate(seconds=float(p),
-                         lower=float(p * self._lo_q),
-                         upper=float(p * self._hi_q),
-                         origin_edge=od.origin_edge,
-                         destination_edge=od.destination_edge)
-                for p, od in zip(preds, ods)]
+        batch = ODBatch.from_rows(ods)
+        if not len(batch):
+            empty = np.empty(0)
+            return Estimates(empty, empty, empty, batch.origin_edge,
+                             batch.destination_edge)
+        if (speed_matrices is None and traffic is None
+                and self.plan.uses_speed_matrices):
+            traffic = self._traffic_rows(batch.depart_time)
+        preds = self.plan.predict(batch, speed_matrices, traffic=traffic)
+        return Estimates(seconds=preds, lower=preds * self._lo_q,
+                         upper=preds * self._hi_q,
+                         origin_edge=batch.origin_edge,
+                         destination_edge=batch.destination_edge)
+
+    def _traffic_rows(self, times: np.ndarray) -> np.ndarray:
+        """D_traf rows for ``times`` from the dataset's store: each
+        distinct period encoded once, then gathered per time."""
+        store = self.dataset.speed_store
+        periods, inverse = np.unique(store.periods_before(times),
+                                     return_inverse=True)
+        codes = self.plan.traffic_codes(np.stack(
+            [store.normalized_matrix_at(int(p)) for p in periods]))
+        return codes[inverse.reshape(-1)]
 
     # ------------------------------------------------------------------
     def band_coverage_on_test(self) -> float:

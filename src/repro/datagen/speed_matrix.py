@@ -64,13 +64,13 @@ class SpeedMatrixStore:
     def periods_before(self, times: Sequence[float]) -> np.ndarray:
         """:meth:`period_before` of every time, as an int64 array."""
         t = np.asarray(times, dtype=np.float64)
-        if (t < 0).any():
-            raise ValueError("time must be non-negative")
-        if not np.isfinite(t).all():
-            raise ValueError("time must be finite")
+        # A NaN fails both comparisons, an infinity the second.
+        if t.size and not (t.min() >= 0.0 and t.max() < np.inf):
+            raise ValueError("time must be finite and non-negative")
         # Clip in float first: int64 cannot hold t // period for any t.
-        periods = np.clip(t // self.config.period_seconds - 1, 0,
-                          self.periods - 1)
+        periods = np.minimum(
+            np.maximum(t // self.config.period_seconds - 1, 0),
+            self.periods - 1)
         return periods.astype(np.int64)
 
     def matrix_at(self, period: int) -> np.ndarray:

@@ -82,6 +82,17 @@ class WeatherProcess:
         idx = min(int(t // self.config.hour_seconds), len(self._states) - 1)
         return int(self._states[idx])
 
+    def categories(self, times) -> np.ndarray:
+        """:meth:`category` of every time, as one int64 gather."""
+        t = np.asarray(times, dtype=np.float64)
+        # A NaN fails both comparisons, an infinity the second.
+        if t.size and not (t.min() >= 0.0 and t.max() < np.inf):
+            raise ValueError("time must be finite and non-negative")
+        # Clip in float first: int64 cannot hold t // hour for any t.
+        idx = np.minimum(t // self.config.hour_seconds,
+                         len(self._states) - 1)
+        return self._states[idx.astype(np.int64)]
+
     def label(self, t: float) -> str:
         return WEATHER_TYPES[self.category(t)][0]
 

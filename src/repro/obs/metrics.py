@@ -20,6 +20,9 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Deque, Dict, Optional
 
 import numpy as np
@@ -60,11 +63,18 @@ class Histogram:
         self._total = 0.0
         self._lock = threading.Lock()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times: the window, count, total
+        and summary equal those of ``count`` single observations."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        value = float(value)
         with self._lock:
-            self._samples.append(float(value))
-            self._count += 1
-            self._total += float(value)
+            self._samples.extend(repeat(value, min(count,
+                                                   self._samples.maxlen)))
+            self._count += count
+            # One addition per observation, so the total rounds alike.
+            self._total = reduce(add, repeat(value, count), self._total)
 
     @property
     def count(self) -> int:

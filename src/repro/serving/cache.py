@@ -145,7 +145,7 @@ class ODMatchCache:
         batched index query for the missed keys; hits, misses and
         evictions as for one lookup per point in order."""
         return self._lru.get_many(
-            [(float(x), float(y)) for x, y in zip(xs, ys)],
+            list(zip(map(float, xs), map(float, ys))),
             lambda keys: self.index.nearest_edges([k[0] for k in keys],
                                                   [k[1] for k in keys]))
 

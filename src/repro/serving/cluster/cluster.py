@@ -43,7 +43,7 @@ from ..artifact import load_artifact
 from ..batcher import MicroBatcher
 from ..errors import SaturatedError
 from ..fallback import HistoricalAverageFallback
-from ..service import ServingResponse
+from ..service import ServingResponse, fallback_answers
 from .router import ROUTING_POLICIES, ShardRouter
 from .worker import row_to_response, worker_main
 
@@ -284,13 +284,7 @@ class ServingCluster(Instrumented):
     def _fallback_answers(self, queries: Sequence[Query]
                           ) -> List[ServingResponse]:
         self.metrics.counter("cluster.fallback_answers").inc(len(queries))
-        seconds = self.fallback.estimate_seconds(queries)
-        bands = self.fallback.bands(seconds)
-        return [ServingResponse(seconds=float(s), lower=lo, upper=hi,
-                                origin_edge=-1, destination_edge=-1,
-                                degraded=True, source="fallback",
-                                degraded_tier=2)
-                for s, (lo, hi) in zip(seconds, bands)]
+        return fallback_answers(self.fallback, queries).responses()
 
     def _require_started(self) -> None:
         if not self._started:
@@ -365,10 +359,8 @@ class ServingCluster(Instrumented):
                     responses[i] = response
         # Every query of a synchronous batch waits for the whole batch,
         # as in ``TravelTimeService.query_batch``.
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        hist = self.metrics.histogram("cluster.latency_ms")
-        for _ in responses:
-            hist.observe(elapsed_ms)
+        self.metrics.histogram("cluster.latency_ms").observe(
+            (time.perf_counter() - start) * 1000.0, count=len(responses))
         return responses
 
     def submit(self, query: Query):

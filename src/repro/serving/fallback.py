@@ -14,7 +14,7 @@ dashboards can tell model answers from fallback answers.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -44,5 +44,6 @@ class HistoricalAverageFallback:
         return self._temp.predict(trips)
 
     @staticmethod
-    def bands(seconds: np.ndarray) -> List[Tuple[float, float]]:
-        return [(float(s * 0.5), float(s * 2.0)) for s in seconds]
+    def bands(seconds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(lower, upper)`` columns of the band around ``seconds``."""
+        return seconds * 0.5, seconds * 2.0

@@ -17,14 +17,14 @@ model path is down.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..datagen.speed_matrix import edge_cell_indices
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra
-from ..trajectory.model import ODInput
+from ..trajectory.model import ODBatch, ODInput
 
 # A floor on per-cell speeds (m/s): a cell observed only while gridlocked
 # must still yield finite edge costs.
@@ -71,31 +71,40 @@ class RouteTimeBaseline:
             raise ValueError("route baseline needs matched edge ids")
         costs = (self._edge_seconds(od.depart_time)
                  if edge_seconds is None else edge_seconds)
-        o_edge, d_edge = od.origin_edge, od.destination_edge
+        return self._route_seconds(od.origin_edge, od.destination_edge,
+                                   od.ratio_start, od.ratio_end, costs)
+
+    def _route_seconds(self, o_edge: int, d_edge: int, ratio_start: float,
+                       ratio_end: float, costs: np.ndarray) -> float:
         if o_edge == d_edge:
-            span = abs(od.ratio_end - od.ratio_start)
+            span = abs(ratio_end - ratio_start)
             return float(max(span * costs[o_edge], 1e-3))
         o, d = self.net.edge(o_edge), self.net.edge(d_edge)
-        seconds = (1.0 - od.ratio_start) * costs[o_edge]
+        seconds = (1.0 - ratio_start) * costs[o_edge]
         if o.end != d.start:
             path, path_seconds = dijkstra(
                 self.net, o.end, d.start,
                 edge_cost=lambda eid: float(costs[eid]))
             seconds += path_seconds
-        seconds += od.ratio_end * costs[d_edge]
+        seconds += ratio_end * costs[d_edge]
         return float(max(seconds, 1e-3))
 
-    def estimate_from_ods(self, ods: Sequence[ODInput]) -> np.ndarray:
-        """Vector of seconds for a batch; the per-period edge-cost table
-        is shared across queries departing in the same slice."""
-        if not len(ods):
+    def estimate_from_ods(self, ods: Union[ODBatch, Sequence[ODInput]]
+                          ) -> np.ndarray:
+        """Vector of seconds for a batch (an :class:`ODBatch` or
+        :class:`ODInput` rows); the edge-cost table is computed once per
+        distinct period of the batch and shared by its queries."""
+        batch = ODBatch.from_rows(ods)
+        if not len(batch):
             return np.array([])
-        store = self._store()
-        by_period = {}
-        out = np.empty(len(ods))
-        for i, od in enumerate(ods):
-            period = store.period_before(od.depart_time)
-            if period not in by_period:
-                by_period[period] = self._edge_seconds(od.depart_time)
-            out[i] = self.estimate_od(od, edge_seconds=by_period[period])
-        return out
+        if (batch.origin_edge < 0).any() or (batch.destination_edge < 0).any():
+            raise ValueError("route baseline needs matched edge ids")
+        _, first, inverse = np.unique(
+            self._store().periods_before(batch.depart_time),
+            return_index=True, return_inverse=True)
+        costs = [self._edge_seconds(t) for t in batch.depart_time[first]]
+        rows = zip(inverse.reshape(-1).tolist(), batch.origin_edge.tolist(),
+                   batch.destination_edge.tolist(),
+                   batch.ratio_start.tolist(), batch.ratio_end.tolist())
+        return np.array([self._route_seconds(o, d, rs, re, costs[k])
+                         for k, o, d, rs, re in rows])

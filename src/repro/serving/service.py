@@ -92,6 +92,46 @@ class ServingResponse:
         }
 
 
+class Answers(NamedTuple):
+    """One tier's answers to a batch, as columns in query order."""
+
+    seconds: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    origin_edge: np.ndarray
+    destination_edge: np.ndarray
+    source: str
+    tier: int
+
+    def responses(self) -> List[ServingResponse]:
+        """The front-end edge: one :class:`ServingResponse` per query."""
+        degraded = self.tier > 0
+        return [ServingResponse(s, lo, hi, o, d, degraded, self.source,
+                                self.tier)
+                for s, lo, hi, o, d in zip(
+                    self.seconds.tolist(), self.lower.tolist(),
+                    self.upper.tolist(), self.origin_edge.tolist(),
+                    self.destination_edge.tolist())]
+
+
+def fallback_answers(fallback: HistoricalAverageFallback,
+                     queries: Sequence[Query]) -> Answers:
+    """Tier 2 (TEMP) columns: no matched edges, the fixed wide band."""
+    seconds = fallback.estimate_seconds(queries)
+    unmatched = np.full(len(seconds), -1, dtype=np.int64)
+    return Answers(seconds, *fallback.bands(seconds), unmatched, unmatched,
+                   "fallback", 2)
+
+
+def _require_queries(queries: Sequence[Query]) -> None:
+    """A caller's wrong type is a ``TypeError`` here, before any tier
+    runs or counts it, not an outage further in."""
+    for query in queries:
+        if not isinstance(query, Query):
+            raise TypeError(f"expected a Query, got "
+                            f"{type(query).__name__}")
+
+
 class _ModelPath(NamedTuple):
     """What the model tier reads, replaced as one reference on a swap so
     no batch pairs one model with another model's traffic codes."""
@@ -273,13 +313,13 @@ class TravelTimeService(Instrumented):
     def query_batch(self, queries: Sequence[Query]
                     ) -> List[ServingResponse]:
         """Answer many :class:`Query` objects in one vectorised pass."""
+        queries = list(queries)
+        _require_queries(queries)
         start = time.perf_counter()
-        responses = self._answer_batch(list(queries))
+        responses = self._answer_batch(queries)
         # Every query of a synchronous batch waits for the whole batch.
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        hist = self.metrics.histogram("latency_ms")
-        for _ in responses:
-            hist.observe(elapsed_ms)
+        self.metrics.histogram("latency_ms").observe(
+            (time.perf_counter() - start) * 1000.0, count=len(responses))
         return responses
 
     def submit(self, query: Query):
@@ -289,8 +329,11 @@ class TravelTimeService(Instrumented):
         The batcher worker must be running (see :meth:`start`); the
         future resolves to a :class:`ServingResponse`.  When the
         admission queue is full (``config.max_pending``), sheds load by
-        raising :class:`SaturatedError` instead of queueing.
+        raising :class:`SaturatedError` instead of queueing.  A
+        non-:class:`Query` raises ``TypeError`` here, not through the
+        future.
         """
+        _require_queries([query])
         limit = self.config.max_pending
         if limit and self.batcher.pending >= limit:
             self.metrics.counter("saturated_rejections").inc()
@@ -319,26 +362,31 @@ class TravelTimeService(Instrumented):
             return []
         self.metrics.counter("queries_total").inc(len(queries))
         with self.tracer.span("serve.request", queries=len(queries)):
-            if self.predictor is not None:
-                try:
-                    responses = self._model_answers(queries)
-                    self.metrics.counter("model_answers").inc(len(queries))
-                    return responses
-                except Exception:
-                    self.metrics.counter("model_failures").inc()
-                    self.tracer.annotate(model_failed=True)
-            if self.route_baseline is not None:
-                try:
-                    responses = self._route_answers(queries)
-                    self.metrics.counter("route_answers").inc(len(queries))
-                    return responses
-                except Exception:
-                    self.metrics.counter("route_failures").inc()
-                    self.tracer.annotate(route_failed=True)
-            return self._fallback_answers(queries)
+            return self._answers(queries).responses()
 
-    def _model_answers(self, queries: List[Query]
-                       ) -> List[ServingResponse]:
+    def _answers(self, queries: List[Query]) -> Answers:
+        """The degradation ladder: model, then route, then TEMP."""
+        if self.predictor is not None:
+            try:
+                answers = self._model_answers(queries)
+                self.metrics.counter("model_answers").inc(len(queries))
+                return answers
+            except Exception:
+                self.metrics.counter("model_failures").inc()
+                self.tracer.annotate(model_failed=True)
+        if self.route_baseline is not None:
+            try:
+                answers = self._route_answers(queries)
+                self.metrics.counter("route_answers").inc(len(queries))
+                return answers
+            except Exception:
+                self.metrics.counter("route_failures").inc()
+                self.tracer.annotate(route_failed=True)
+        self.metrics.counter("fallback_answers").inc(len(queries))
+        with self.tracer.span("serve.fallback", queries=len(queries)):
+            return fallback_answers(self.fallback, queries)
+
+    def _model_answers(self, queries: List[Query]) -> Answers:
         path = self._path
         with self.tracer.span("serve.match", queries=len(queries)):
             ods = match_queries(queries, self.dataset,
@@ -346,45 +394,20 @@ class TravelTimeService(Instrumented):
         traffic = None
         if path.slice_cache is not None:
             with self.tracer.span("serve.speed_slices"):
-                traffic = path.slice_cache.traffic_before(
-                    [od.depart_time for od in ods])
+                traffic = path.slice_cache.traffic_before(ods.depart_time)
         with self.tracer.span("serve.predict", queries=len(queries)):
-            estimates = path.predictor.estimate_from_ods(ods,
-                                                         traffic=traffic)
-        return [ServingResponse(
-                    seconds=e.seconds, lower=e.lower, upper=e.upper,
-                    origin_edge=e.origin_edge,
-                    destination_edge=e.destination_edge,
-                    degraded=False, source="model")
-                for e in estimates]
+            est = path.predictor.estimate_from_ods(ods, traffic=traffic)
+        return Answers(est.seconds, est.lower, est.upper, est.origin_edge,
+                       est.destination_edge, "model", 0)
 
-    def _route_answers(self, queries: List[Query]
-                       ) -> List[ServingResponse]:
+    def _route_answers(self, queries: List[Query]) -> Answers:
         """Tier 1: shortest path × current (possibly live) cell speeds."""
         with self.tracer.span("serve.route", queries=len(queries)):
             ods = match_queries(queries, self.dataset,
                                 self.od_cache.nearest_edges)
             seconds = self.route_baseline.estimate_from_ods(ods)
-        return [ServingResponse(
-                    seconds=float(s), lower=lo, upper=hi,
-                    origin_edge=od.origin_edge,
-                    destination_edge=od.destination_edge,
-                    degraded=True, source="route", degraded_tier=1)
-                for s, (lo, hi), od in zip(seconds,
-                                           self.fallback.bands(seconds),
-                                           ods)]
-
-    def _fallback_answers(self, queries: List[Query]
-                          ) -> List[ServingResponse]:
-        self.metrics.counter("fallback_answers").inc(len(queries))
-        with self.tracer.span("serve.fallback", queries=len(queries)):
-            seconds = self.fallback.estimate_seconds(queries)
-            bands = self.fallback.bands(seconds)
-        return [ServingResponse(
-                    seconds=float(s), lower=lo, upper=hi,
-                    origin_edge=-1, destination_edge=-1,
-                    degraded=True, source="fallback", degraded_tier=2)
-                for s, (lo, hi) in zip(seconds, bands)]
+        return Answers(seconds, *self.fallback.bands(seconds),
+                       ods.origin_edge, ods.destination_edge, "route", 1)
 
     # -- observability ---------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:

@@ -2,7 +2,7 @@
 interpolation of per-edge time intervals."""
 
 from .model import (
-    GPSPoint, MatchedTrajectory, ODInput, PathElement, Query,
+    GPSPoint, MatchedTrajectory, ODBatch, ODInput, PathElement, Query,
     RawTrajectory, TripRecord,
 )
 from .interpolation import (
@@ -11,7 +11,8 @@ from .interpolation import (
 )
 
 __all__ = [
-    "GPSPoint", "MatchedTrajectory", "ODInput", "PathElement", "Query",
+    "GPSPoint", "MatchedTrajectory", "ODBatch", "ODInput", "PathElement",
+    "Query",
     "RawTrajectory", "TripRecord",
     "build_matched_trajectory", "intervals_from_endpoint_times",
     "intervals_from_gps_times",

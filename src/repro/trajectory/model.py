@@ -217,6 +217,67 @@ class ODInput:
         return self.origin_edge >= 0 and self.destination_edge >= 0
 
 
+@dataclass(eq=False)
+class ODBatch:
+    """Definition 2 for a whole batch, as columns.
+
+    What a served batch carries from matching to the model: origin and
+    destination ``(B, 2)`` float64, the departure time ``(B,)`` float64,
+    the matched edges ``(B,)`` int64, the position ratios ``(B,)``
+    float64 and the weather category ids ``(B,)`` int64.  Indexing and
+    iteration yield :class:`ODInput` row views (no external features).
+    """
+
+    origin_xy: np.ndarray
+    destination_xy: np.ndarray
+    depart_time: np.ndarray
+    origin_edge: np.ndarray
+    destination_edge: np.ndarray
+    ratio_start: np.ndarray
+    ratio_end: np.ndarray
+    weather: np.ndarray
+
+    @classmethod
+    def from_rows(cls, ods: Sequence[ODInput]) -> "ODBatch":
+        """The columns of ``ods`` (an ``ODBatch`` is returned as is)."""
+        if isinstance(ods, cls):
+            return ods
+        n = len(ods)
+
+        def column(name, dtype):
+            return np.fromiter((getattr(od, name) for od in ods),
+                               dtype=dtype, count=n)
+
+        def points(name):
+            return np.array([getattr(od, name) for od in ods],
+                            dtype=np.float64).reshape(n, 2)
+
+        return cls(origin_xy=points("origin_xy"),
+                   destination_xy=points("destination_xy"),
+                   depart_time=column("depart_time", np.float64),
+                   origin_edge=column("origin_edge", np.int64),
+                   destination_edge=column("destination_edge", np.int64),
+                   ratio_start=column("ratio_start", np.float64),
+                   ratio_end=column("ratio_end", np.float64),
+                   weather=column("weather", np.int64))
+
+    def __len__(self) -> int:
+        return len(self.depart_time)
+
+    def __getitem__(self, i: int) -> ODInput:
+        return ODInput(origin_xy=tuple(self.origin_xy[i].tolist()),
+                       destination_xy=tuple(self.destination_xy[i].tolist()),
+                       depart_time=float(self.depart_time[i]),
+                       origin_edge=int(self.origin_edge[i]),
+                       destination_edge=int(self.destination_edge[i]),
+                       ratio_start=float(self.ratio_start[i]),
+                       ratio_end=float(self.ratio_end[i]),
+                       weather=int(self.weather[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class TripRecord:
     """One historical taxi order: an OD input plus its affiliated trajectory.

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.core.inference import InferencePlan
 from repro.serving.artifact import load_artifact, save_artifact
+from repro.trajectory.model import Query
 
 BATCHES = (1, 48, 128)
 
@@ -208,3 +209,66 @@ def test_predictor_is_a_weight_snapshot(tiny_dataset):
     fresh = TravelTimePredictor(trainer, quantiles=(0.8, 1.2))
     assert [e.seconds
             for e in fresh.estimate_from_ods(ods, mats)] != before
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in CONFIGS if "-ext" in name))
+def test_estimates_without_matrices_match_explicit(trained, tiny_dataset,
+                                                   name):
+    """``estimate_from_ods(ods)`` and ``estimate_batch`` encode each
+    distinct period once; their answers equal the explicit-matrix path
+    (one CNN pass per OD) to 1e-12."""
+    predictor = TravelTimePredictor(trained[name], quantiles=(0.8, 1.2))
+    ods, mats = _batch(tiny_dataset, 48)
+    queries = [Query(od.origin_xy, od.destination_xy, od.depart_time)
+               for od in ods]
+    matched = [predictor.match_query(*q) for q in queries]
+    pairs = [(predictor.estimate_from_ods(ods),
+              predictor.estimate_from_ods(ods, mats)),
+             (predictor.estimate_batch(queries),
+              predictor.estimate_from_ods(matched, mats))]
+    for got, explicit in pairs:
+        for column in ("seconds", "lower", "upper"):
+            np.testing.assert_allclose(getattr(got, column),
+                                       getattr(explicit, column),
+                                       rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(got.origin_edge, explicit.origin_edge)
+
+
+def test_estimates_without_matrices_encode_each_period_once(
+        trained, tiny_dataset, monkeypatch):
+    predictor = TravelTimePredictor(trained["lstm-ext1"],
+                                    quantiles=(0.8, 1.2))
+    ods, mats = _batch(tiny_dataset, 48)
+    k = len(set(tiny_dataset.speed_store.periods_before(
+        [od.depart_time for od in ods]).tolist()))
+    assert 1 < k < len(ods)
+    encoded = []
+    original = InferencePlan.traffic_codes
+
+    def counting(plan, matrices):
+        encoded.append(len(matrices))
+        return original(plan, matrices)
+
+    monkeypatch.setattr(InferencePlan, "traffic_codes", counting)
+    predictor.estimate_from_ods(ods)
+    assert encoded == [k]
+    predictor.estimate_from_ods(ods, mats)       # explicit: one per OD
+    assert encoded == [k, len(ods)]
+
+
+def test_estimates_are_columns_with_row_views(trained, tiny_dataset):
+    predictor = TravelTimePredictor(trained["lstm-ext0"],
+                                    quantiles=(0.8, 1.2))
+    ods, mats = _batch(tiny_dataset, 6)
+    est = predictor.estimate_from_ods(ods, mats)
+    assert len(est) == 6 and est.seconds.shape == (6,)
+    rows = list(est)
+    assert rows[2] == est[2] and est[-1] == rows[-1]
+    assert est[2].seconds == est.seconds[2]
+    assert est[2].origin_edge == ods[2].origin_edge
+    assert est == rows
+    assert predictor.estimate_from_ods([]) == []
+    with pytest.raises(ValueError, match="band"):
+        type(est)(est.seconds, est.upper, est.lower, est.origin_edge,
+                  est.destination_edge)

@@ -2,10 +2,13 @@
 
 import sys
 
+import pytest
+
 from repro.obs import (
     Instrumented, MetricsRegistry, NULL_TRACER, Tracer, global_registry,
     reset_global_registry, traced,
 )
+from repro.obs.metrics import Histogram
 
 
 class TestGlobalRegistry:
@@ -23,6 +26,24 @@ class TestGlobalRegistry:
         assert "stale" not in new.snapshot()["counters"]
         # The old registry is untouched, just no longer the default.
         assert old.counter("stale").value == 1
+
+
+class TestCountedObserve:
+    @pytest.mark.parametrize("count", [0, 1, 7, 48, 64, 65, 500])
+    def test_equals_that_many_single_observations(self, count):
+        counted, looped = Histogram("a", window=64), Histogram("b", window=64)
+        for value in (0.1, 3.7, 0.3):
+            counted.observe(value, count=count)
+            for _ in range(count):
+                looped.observe(value)
+        assert counted.count == looped.count == 3 * count
+        assert counted._total == looped._total
+        assert list(counted._samples) == list(looped._samples)
+        assert counted.summary() == looped.summary()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            Histogram("h").observe(1.0, count=-1)
 
 
 class TestDeprecationShim:

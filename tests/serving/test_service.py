@@ -94,6 +94,35 @@ class TestModelPath:
         assert service.metrics.histogram("batch_size").count >= 1
 
 
+class TestQueryType:
+    """A caller's wrong type is a ``TypeError`` before the ladder runs:
+    no tier counts it as a failure."""
+
+    TRIPLE = ((300.0, 300.0), (1500.0, 1400.0), 612000.0)
+
+    def _untouched(self, service):
+        counters = service.metrics_snapshot()["counters"]
+        for name in ("queries_total", "model_failures", "route_failures",
+                     "fallback_answers"):
+            assert counters.get(name, 0) == 0, name
+
+    def test_query_batch_and_query_reject_a_triple(self, service,
+                                                   serving_dataset):
+        good = sample_queries(serving_dataset, 1)[0]
+        with pytest.raises(TypeError, match="Query"):
+            service.query_batch([good, self.TRIPLE])
+        with pytest.raises(TypeError, match="Query"):
+            service.query(self.TRIPLE)
+        self._untouched(service)
+        assert service.metrics.histogram("latency_ms").count == 0
+
+    def test_submit_raises_at_once(self, service):
+        with pytest.raises(TypeError, match="Query"):
+            service.submit(self.TRIPLE)
+        assert service.batcher.pending == 0
+        self._untouched(service)
+
+
 class TestCapacity:
     def test_submit_sheds_past_max_pending(self, trained_predictor,
                                            serving_dataset):
