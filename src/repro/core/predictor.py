@@ -19,15 +19,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..datagen.dataset import TaxiDataset
-from ..roadnet.spatial_index import SpatialIndex
+from ..roadnet.spatial_index import Columns, SpatialIndex
 from ..trajectory.model import ODBatch, ODInput, Query
 from .inference import InferencePlan
 from .model import DeepOD
 from .trainer import DeepODTrainer
 
-# ``snap(xs, ys)`` -> one (edge_id, distance, ratio) per point.
-Snapper = Callable[[List[float], List[float]],
-                   Sequence[Tuple[int, float, float]]]
+# ``snap(xs, ys)`` -> (edge ids, distances, ratios), one entry per point.
+Snapper = Callable[[List[float], List[float]], Columns]
 
 
 def normalize_depart_time(depart_time: float,
@@ -75,13 +74,11 @@ def match_queries(queries: Sequence[Query], dataset: TaxiDataset,
         dtype=np.float64, count=5 * n).reshape(n, 5)
     times = clamp_depart_times(cols[:, 4], dataset.horizon_seconds)
     points = cols[:, :4].ravel().tolist()       # x, y, x, y, ...
-    hits = np.fromiter(chain.from_iterable(snap(points[0::2], points[1::2])),
-                       dtype=np.float64, count=6 * n).reshape(n, 2, 3)
-    edges = hits[:, :, 0].astype(np.int64)
+    edges, _, ratios = snap(points[0::2], points[1::2])
     return ODBatch(origin_xy=cols[:, 0:2], destination_xy=cols[:, 2:4],
                    depart_time=times,
-                   origin_edge=edges[:, 0], destination_edge=edges[:, 1],
-                   ratio_start=hits[:, 0, 2], ratio_end=hits[:, 1, 2],
+                   origin_edge=edges[0::2], destination_edge=edges[1::2],
+                   ratio_start=ratios[0::2], ratio_end=ratios[1::2],
                    weather=dataset.weather.categories(times))
 
 

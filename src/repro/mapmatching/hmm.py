@@ -92,11 +92,6 @@ class HMMMapMatcher:
             start.ratio, end.ratio)
         return MatchedTrajectory(elements, start.ratio, end.ratio)
 
-    def match_point(self, x: float, y: float) -> Tuple[int, float]:
-        """Match a single point (an OD endpoint): (edge_id, ratio)."""
-        edge_id, _, ratio = self.index.nearest_edge(x, y)
-        return edge_id, ratio
-
     def match_request(self, request: "MatchRequest") -> "MatchResult":
         """Match one request, capturing :class:`MatchingError` in the
         result instead of raising — the unit of work of

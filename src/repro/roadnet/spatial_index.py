@@ -14,10 +14,18 @@ cell → edge table).  A query walks rings of cells outward from the query
 point's cell until a hit is guaranteed correct.  For every start cell the
 edges of the first rings are precomputed in the walk's first-seen order,
 so a whole batch of points (a serving micro-batch, a trajectory's fixes)
-is answered with one gather, one vectorised projection and one sort.  The
-answers, including the order of tied reverse-twin edges, are those of the
-scalar walk; only points whose nearest answer lies beyond ring 1 (far
-outside the grid) take the scalar walk itself.
+is answered with one gather and one vectorised projection.  Nearest and
+k-nearest search then sort nothing: the entries are grouped by point,
+and each of k rounds of segmented minima (``np.minimum.reduceat``) picks
+every point's least ``(distance, edge id)`` among its entries not yet
+picked (:func:`_k_smallest`).  Radius search sorts each point's hits by
+distance.  The answers, including the order of tied reverse-twin edges,
+are those of the scalar walk; only points whose nearest answer lies
+beyond ring 1 (far outside the grid) take the scalar walk itself.
+
+:meth:`SpatialIndex.nearest_edges` returns a batch's snaps as three
+columns (edge ids, distances, ratios), the form
+:func:`repro.core.predictor.match_queries` builds its ``ODBatch`` from.
 """
 
 from __future__ import annotations
@@ -29,9 +37,12 @@ import numpy as np
 from .graph import RoadNetwork
 
 Hit = Tuple[int, float, float]      # (edge_id, distance, ratio)
+# Edge ids (int64), distances and ratios (float64), one entry per point.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # Points per vectorised pass: bounds the temporary arrays of a long
 # trajectory's candidate query (~200 ring entries per point).
 CHUNK = 128
+_NO_EDGE = np.iinfo(np.int64).max
 
 
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,6 +51,39 @@ def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     group = np.arange(len(counts)).repeat(counts)
     pos = np.arange(len(group)) - (counts.cumsum() - counts)[group]
     return group, pos
+
+
+def _k_smallest(point: np.ndarray, dist: np.ndarray, eid: np.ndarray,
+                n: int, k: int) -> Tuple[np.ndarray, ...]:
+    """``(points, picks, kth)``: every point of ``0..n-1`` with at least
+    ``k`` entries, the indices of its ``k`` smallest entries in
+    ``(distance, edge id)`` order, and its k-th smallest distance.
+
+    Entries are grouped by point, and a point's edge ids are distinct,
+    so the order is total.  Each of ``k`` rounds takes every point's
+    least distance among its entries not yet picked
+    (``np.minimum.reduceat``), then the least edge id at that distance;
+    no entry is sorted.  A NaN distance (an overflowed projection)
+    counts as +inf, which is also what a picked entry becomes.
+    """
+    count = np.bincount(point, minlength=n)
+    points = np.flatnonzero(count >= k)
+    entries = None
+    if len(points) < n:         # leave out the points with fewer entries
+        entries = np.flatnonzero(count[point] >= k)
+        dist, eid = dist[entries], eid[entries]
+    size = count[points]
+    starts = size.cumsum() - size
+    d = np.fmin(dist, np.inf)
+    picks = np.empty((len(points), k), dtype=np.int64)
+    for r in range(k):
+        low = np.minimum.reduceat(d, starts)
+        key = np.where(d == low.repeat(size), eid, _NO_EDGE)
+        picks[:, r] = np.flatnonzero(
+            key == np.minimum.reduceat(key, starts).repeat(size))
+        if r + 1 < k:
+            d[picks[:, r]] = np.inf
+    return points, picks if entries is None else entries[picks], low
 
 
 def _ring_cells(cx: int, cy: int, ring: int) -> List[Tuple[int, int]]:
@@ -194,17 +238,15 @@ class SpatialIndex:
         return dist, t
 
     @staticmethod
-    def _chunked(query, xs, ys, arg) -> List[List[Hit]]:
-        """``query(xs, ys, arg)`` over blocks of at most :data:`CHUNK`
-        points."""
+    def _blocks(xs, ys) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(xs, ys)`` as float64 arrays in blocks of at most
+        :data:`CHUNK` points; an empty batch is one empty block."""
         xs = np.asarray(xs, dtype=np.float64).reshape(-1)
         ys = np.asarray(ys, dtype=np.float64).reshape(-1)
         if xs.shape != ys.shape:
             raise ValueError("xs and ys must have the same length")
-        out: List[List[Hit]] = []
-        for lo in range(0, len(xs), CHUNK):
-            out += query(xs[lo:lo + CHUNK], ys[lo:lo + CHUNK], arg)
-        return out
+        return [(xs[lo:lo + CHUNK], ys[lo:lo + CHUNK])
+                for lo in range(0, len(xs) or 1, CHUNK)]
 
     @staticmethod
     def _split(n: int, point: np.ndarray, eid: np.ndarray, dist: np.ndarray,
@@ -223,55 +265,78 @@ class SpatialIndex:
     def k_nearest_edges_batch(self, xs: Sequence[float], ys: Sequence[float],
                               k: int = 5) -> List[List[Hit]]:
         """:meth:`k_nearest_edges` for every point ``(xs[i], ys[i])``."""
+        count, eid, dist, ratio = self._k_nearest(xs, ys, k)
+        rows = zip(count.tolist(), eid.tolist(), dist.tolist(),
+                   ratio.tolist())
+        return [list(zip(e[:c], d[:c], r[:c])) for c, e, d, r in rows]
+
+    def nearest_edges(self, xs: Sequence[float], ys: Sequence[float]
+                      ) -> Columns:
+        """:meth:`nearest_edge` for every point ``(xs[i], ys[i])``, as
+        columns: edge ids (int64), distances and ratios (float64)."""
+        count, eid, dist, ratio = self._k_nearest(xs, ys, 1)
+        if not count.all():
+            raise ValueError("spatial index is empty")
+        return eid[:, 0], dist[:, 0], ratio[:, 0]
+
+    def _k_nearest(self, xs, ys, k: int) -> Tuple[np.ndarray, ...]:
+        """``(count, eid, dist, ratio)``: point i's ``count[i]`` nearest
+        hits (``k`` unless the network has fewer edges) lead row i of
+        the ``(n, k)`` tables."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._chunked(self._k_nearest_chunk, xs, ys, k)
+        parts = [self._k_nearest_chunk(bx, by, k)
+                 for bx, by in self._blocks(xs, ys)]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def _k_nearest_chunk(self, xs: np.ndarray, ys: np.ndarray, k: int
-                         ) -> List[List[Hit]]:
+                         ) -> Tuple[np.ndarray, ...]:
         n = len(xs)
         cells, point, pos, eid = self._gather(1, xs, ys)
         dist, ratio = self.project_batch(eid, xs[point], ys[point])
-        # The walk sorts its hits as (distance, edge id) tuples.
-        order = np.lexsort((eid, dist, point))
-        point, pos, eid = point[order], pos[order], eid[order]
-        dist, ratio = dist[order], ratio[order]
         # The walk stops after ring 0 when its k-th hit lies at distance
-        # 0, after ring 1 when it lies within one cell; any other point
-        # walks on.  Ranks count within each point's sorted entries.
-        total = np.bincount(point, minlength=n)
-        start = total.cumsum() - total
-        rank = np.arange(len(point)) - start[point]
-        idx0 = np.flatnonzero(pos < self._cell_len[cells][point])
-        total0 = np.bincount(point[idx0], minlength=n)
-        start0 = total0.cumsum() - total0
-        rank0 = np.arange(len(idx0)) - start0[point[idx0]]
-        done0 = total0 >= k
-        done0[done0] = dist[idx0[start0[done0] + k - 1]] <= 0.0
-        done1 = (total >= k) & ~done0
-        done1[done1] = dist[start[done1] + k - 1] <= self.cell_size
-        take = (rank < k) & done1[point]
-        take[idx0[(rank0 < k) & done0[point[idx0]]]] = True
-        out = self._split(n, point[take], eid[take], dist[take], ratio[take])
-        for i in np.flatnonzero(~(done0 | done1)).tolist():
-            out[i] = self._walk_nearest(float(xs[i]), float(ys[i]), k,
-                                        int(cells[i]))
-        return out
-
-    def nearest_edges(self, xs: Sequence[float], ys: Sequence[float]
-                      ) -> List[Hit]:
-        """:meth:`nearest_edge` for every point ``(xs[i], ys[i])``."""
-        hits = self.k_nearest_edges_batch(xs, ys, k=1)
-        if any(not h for h in hits):
-            raise ValueError("spatial index is empty")
-        return [h[0] for h in hits]
+        # 0, i.e. when k ring-0 edges lie at distance 0; after ring 1
+        # when its k-th hit lies within one cell; any other point walks
+        # on.  A point's ring-0 answer takes precedence over its ring-1
+        # one.
+        pick = np.full((n, k), -1, dtype=np.int64)
+        ring1, picks1, kth = _k_smallest(point, dist, eid, n, k)
+        ok = kth <= self.cell_size
+        pick[ring1[ok]] = picks1[ok]
+        zero = np.flatnonzero((dist <= 0.0)
+                              & (pos < self._cell_len[cells][point]))
+        if len(zero):
+            ring0, picks0, _ = _k_smallest(point[zero], dist[zero],
+                                           eid[zero], n, k)
+            pick[ring0] = zero[picks0]
+        count = np.full(n, k)
+        done = pick[:, 0] >= 0
+        if done.all():
+            return count, eid[pick], dist[pick], ratio[pick]
+        # The points the first rings leave open (far off the grid) walk.
+        out = [np.zeros((n, k), dtype=c.dtype) for c in (eid, dist, ratio)]
+        for column, values in zip(out, (eid, dist, ratio)):
+            column[done] = values[pick[done]]
+        for i in np.flatnonzero(~done).tolist():
+            hits = self._walk_nearest(float(xs[i]), float(ys[i]), k,
+                                      int(cells[i]))
+            count[i] = len(hits)
+            for j, hit in enumerate(hits):
+                for column, value in zip(out, hit):
+                    column[i, j] = value
+        return (count, *out)
 
     def edges_within_batch(self, xs: Sequence[float], ys: Sequence[float],
                            radius: float) -> List[List[Hit]]:
         """:meth:`edges_within` for every point ``(xs[i], ys[i])``."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        return self._chunked(self._within_chunk, xs, ys, radius)
+        out: List[List[Hit]] = []
+        for bx, by in self._blocks(xs, ys):
+            out += self._within_chunk(bx, by, radius)
+        return out
 
     def _within_chunk(self, xs: np.ndarray, ys: np.ndarray, radius: float
                       ) -> List[List[Hit]]:
@@ -296,7 +361,8 @@ class SpatialIndex:
         Returns (edge_id, distance, ratio) where ``ratio`` is the projection
         position along the edge (Definition 1's position ratio).
         """
-        return self.nearest_edges([x], [y])[0]
+        eid, dist, ratio = self.nearest_edges([x], [y])
+        return int(eid[0]), float(dist[0]), float(ratio[0])
 
     def k_nearest_edges(self, x: float, y: float, k: int = 5) -> List[Hit]:
         """k closest edges, sorted by distance (ties by edge id)."""

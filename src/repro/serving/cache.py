@@ -13,13 +13,14 @@ filled once per (period, version): :class:`SpeedSliceCache`.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datagen.speed_matrix import SpeedMatrixStore
 from ..obs.cache import LRUCache
-from ..roadnet.spatial_index import SpatialIndex
+from ..roadnet.spatial_index import Columns, Hit, SpatialIndex
 
 
 class SpeedSliceCache:
@@ -137,17 +138,25 @@ class ODMatchCache:
 
     def nearest_edge(self, x: float, y: float) -> Tuple[int, float, float]:
         """(edge_id, distance, ratio) as in ``SpatialIndex.nearest_edge``."""
-        return self.nearest_edges([x], [y])[0]
+        eid, dist, ratio = self.nearest_edges([x], [y])
+        return int(eid[0]), float(dist[0]), float(ratio[0])
 
     def nearest_edges(self, xs: Sequence[float], ys: Sequence[float]
-                      ) -> List[Tuple[int, float, float]]:
-        """:meth:`nearest_edge` for every point ``(xs[i], ys[i])``: one
-        batched index query for the missed keys; hits, misses and
-        evictions as for one lookup per point in order."""
-        return self._lru.get_many(
-            list(zip(map(float, xs), map(float, ys))),
-            lambda keys: self.index.nearest_edges([k[0] for k in keys],
-                                                  [k[1] for k in keys]))
+                      ) -> Columns:
+        """``SpatialIndex.nearest_edges`` through the cache: the missed
+        keys go to the index in one call; hits, misses, evictions and
+        the LRU order are those of one lookup per point in order."""
+        hits = self._lru.get_many(list(zip(map(float, xs), map(float, ys))),
+                                  self._snap)
+        flat = np.fromiter(chain.from_iterable(hits), dtype=np.float64,
+                           count=3 * len(hits)).reshape(-1, 3)
+        return flat[:, 0].astype(np.int64), flat[:, 1], flat[:, 2]
+
+    def _snap(self, keys: List[Tuple[float, float]]) -> List[Hit]:
+        """The index's hits for the missed keys, in one call."""
+        columns = self.index.nearest_edges([k[0] for k in keys],
+                                           [k[1] for k in keys])
+        return list(zip(*(column.tolist() for column in columns)))
 
     @property
     def hit_rate(self) -> float:

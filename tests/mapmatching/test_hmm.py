@@ -112,14 +112,6 @@ class TestMatching:
         overlap = len(set(matched.edge_ids) & set(route)) / len(route)
         assert overlap >= 0.6
 
-    def test_match_point(self, city, matcher):
-        # A point next to a known vertex must match an incident edge.
-        v = city.vertex(7)
-        eid, ratio = matcher.match_point(v.x + 5.0, v.y + 5.0)
-        edge = city.edge(eid)
-        assert 7 in (edge.start, edge.end) or True  # nearest edge is valid
-        assert 0.0 <= ratio <= 1.0
-
     def test_deterministic(self, city, matcher):
         route = self._true_route(city)
         traj = synthesize_gps(city, route, noise=10.0, seed=6)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.mapmatching import HMMConfig, candidates_for_trajectory
-from repro.roadnet import SpatialIndex, dijkstra, grid_city
+from repro.roadnet import RoadNetwork, SpatialIndex, dijkstra, grid_city
+from repro.roadnet.spatial_index import CHUNK
 from repro.serving import ODMatchCache
 from repro.trajectory.model import GPSPoint
 
@@ -131,6 +132,25 @@ def point_sets(net):
             "far": far_points()}
 
 
+def assert_columns(got, hits):
+    """``nearest_edges`` columns equal the oracle's hits, bit for bit."""
+    eid, dist, ratio = got
+    assert eid.dtype == np.int64
+    assert dist.dtype == ratio.dtype == np.float64
+    assert [eid.tolist(), dist.tolist(), ratio.tolist()] == \
+        [[h[0] for h in hits], [h[1] for h in hits], [h[2] for h in hits]]
+
+
+def mixed_points(net, n):
+    """``n`` points around the grid with the far points spread evenly
+    among them."""
+    xs, ys = seeded_points(net, n, 11, 600.0)
+    fx, fy = far_points()
+    slots = np.arange(len(fx)) * (n // len(fx))
+    xs[slots], ys[slots] = fx, fy
+    return xs, ys
+
+
 class TestNearestParity:
     @pytest.mark.parametrize("which", ["inside", "around", "ties", "far"])
     def test_nearest_edges_equal_oracle(self, setup, which):
@@ -138,12 +158,12 @@ class TestNearestParity:
         xs, ys = point_sets(net)[which]
         want = [oracle.k_nearest(x, y, 1)[0]
                 for x, y in zip(xs.tolist(), ys.tolist())]
-        assert index.nearest_edges(xs, ys) == want
+        assert_columns(index.nearest_edges(xs, ys), want)
         assert [index.nearest_edge(x, y)
                 for x, y in zip(xs.tolist(), ys.tolist())] == want
 
-    @pytest.mark.parametrize("k", [2, 5])
-    @pytest.mark.parametrize("which", ["around", "ties", "far"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("which", ["inside", "around", "ties", "far"])
     def test_k_nearest_equal_oracle(self, setup, which, k):
         net, index, oracle = setup
         xs, ys = point_sets(net)[which]
@@ -170,15 +190,78 @@ class TestNearestParity:
         if size >= 2:
             xs[size // 2:] = xs[:size - size // 2]   # duplicate points
             ys[size // 2:] = ys[:size - size // 2]
-        want = [oracle.k_nearest(x, y, 1)[0]
-                for x, y in zip(xs.tolist(), ys.tolist())]
-        assert index.nearest_edges(xs, ys) == want
-        assert index.nearest_edges(xs.tolist(), ys.tolist()) == want
+        points = list(zip(xs.tolist(), ys.tolist()))
+        want = [oracle.k_nearest(x, y, 1)[0] for x, y in points]
+        assert_columns(index.nearest_edges(xs, ys), want)
+        assert_columns(index.nearest_edges(xs.tolist(), ys.tolist()), want)
+        for k in (1, 2, 5):
+            assert index.k_nearest_edges_batch(xs, ys, k) == \
+                [oracle.k_nearest(x, y, k) for x, y in points]
+
+    def test_batch_spanning_chunks_with_far_points(self, setup):
+        net, index, oracle = setup
+        xs, ys = mixed_points(net, 2 * CHUNK + 37)
+        points = list(zip(xs.tolist(), ys.tolist()))
+        assert_columns(index.nearest_edges(xs, ys),
+                       [oracle.k_nearest(x, y, 1)[0] for x, y in points])
+        for k in (2, 5):
+            assert index.k_nearest_edges_batch(xs, ys, k) == \
+                [oracle.k_nearest(x, y, k) for x, y in points]
+
+    def test_overflowing_projection_walks_as_the_oracle(self):
+        """A point so far off that its projection on a diagonal edge in
+        its clamped start cell's ring overflows to NaN walks on, as the
+        scalar walk does."""
+        net = RoadNetwork()
+        for i, (x, y) in enumerate([(0, 0), (300, 200), (600, -100),
+                                    (100, 500), (750, 0)]):
+            net.add_vertex(i, float(x), float(y))
+        for a, b in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 3), (3, 0),
+                     (2, 4), (4, 2)]:
+            net.add_edge(a, b)
+        index, oracle = SpatialIndex(net), RingWalkOracle(net, 250.0)
+        xs, ys = [1e307, 150.0], [-1e307, 100.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2):
+                want = [oracle.k_nearest(x, y, k) for x, y in zip(xs, ys)]
+                np.testing.assert_equal(
+                    index.k_nearest_edges_batch(xs, ys, k), want)
+            got = index.nearest_edges(xs, ys)
+        assert np.isnan(got[1][0])
+        np.testing.assert_equal([c.tolist() for c in got],
+                                [list(c) for c in zip(*(w[0] for w in want))])
 
     def test_non_finite_coordinates_rejected(self, setup):
         _, index, _ = setup
-        with pytest.raises(ValueError):
-            index.nearest_edges([0.0, float("nan")], [0.0, 0.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                index.nearest_edges([0.0, bad], [0.0, 0.0])
+            with pytest.raises(ValueError, match="finite"):
+                index.k_nearest_edges_batch([0.0], [bad], 2)
+        with pytest.raises(ValueError, match="same length"):
+            index.nearest_edges([0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="k must be"):
+            index.k_nearest_edges_batch([0.0], [0.0], 0)
+
+
+class TestEmptyIndex:
+    @pytest.fixture
+    def index(self):
+        net = RoadNetwork()
+        net.add_vertex(0, 0.0, 0.0)
+        net.add_vertex(1, 500.0, 300.0)
+        return SpatialIndex(net)
+
+    def test_nearest_raises(self, index):
+        with pytest.raises(ValueError, match="spatial index is empty"):
+            index.nearest_edges([10.0, 2e4], [10.0, 0.0])
+        with pytest.raises(ValueError, match="spatial index is empty"):
+            index.nearest_edge(10.0, 10.0)
+
+    def test_empty_answers(self, index):
+        assert_columns(index.nearest_edges([], []), [])
+        assert index.k_nearest_edges_batch([10.0, 2e4], [10.0, 0.0], 2) \
+            == [[], []]
 
 
 class TestRadiusParity:
@@ -279,9 +362,9 @@ class TestODMatchCacheBatch:
         keys = []
         for batch in picks:
             bx, by = xs[batch].tolist(), ys[batch].tolist()
-            got = cache.nearest_edges(bx, by)
-            assert got == [oracle.k_nearest(x, y, 1)[0]
-                           for x, y in zip(bx, by)]
+            assert_columns(cache.nearest_edges(bx, by),
+                           [oracle.k_nearest(x, y, 1)[0]
+                            for x, y in zip(bx, by)])
             keys += list(zip(bx, by))
         hits, misses, evictions, order = sequential_lru(keys, capacity)
         stats = cache.stats()

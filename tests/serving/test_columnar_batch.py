@@ -5,7 +5,8 @@ columns and build ``ServingResponse`` rows only at the end.  Each
 columnar step must equal its scalar or per-row form exactly: the
 clamp, the weather lookup, snapping, the model tier against
 ``estimate_from_ods`` on ``ODInput`` rows, the route tier against
-``RouteTimeBaseline.estimate_od``, and TEMP.
+``RouteTimeBaseline.estimate_od``, and TEMP; a ``submit`` burst
+answers as ``query_batch`` does.
 """
 
 import numpy as np
@@ -24,12 +25,21 @@ from .conftest import TINY_CFG
 
 @pytest.fixture(scope="module")
 def queries(serving_dataset):
-    """Seeded queries, plus four departing past the horizon."""
+    """Seeded queries, the same jittered by 8 m GPS noise, three with an
+    end far off the grid, and last four departing past the horizon."""
     seeded = synthetic_queries(serving_dataset, 40, seed=7)
+    noise = np.random.default_rng(8).normal(0.0, 8.0, size=(40, 4))
+    jittered = [Query((q.origin_xy[0] + n[0], q.origin_xy[1] + n[1]),
+                      (q.destination_xy[0] + n[2],
+                       q.destination_xy[1] + n[3]), q.depart_time)
+                for q, n in zip(seeded, noise.tolist())]
+    far = [Query((-5000.0, -5000.0), seeded[0].destination_xy, 612000.0),
+           Query(seeded[1].origin_xy, (9e4, 200.0), 612000.0),
+           Query((-3e6, 4e6), (7e9, -2e9), 612000.0)]
     horizon = serving_dataset.horizon_seconds
     late = [Query(q.origin_xy, q.destination_xy, horizon + 3600.0 * i)
             for i, q in enumerate(seeded[:4])]
-    return seeded + late
+    return seeded + jittered + far + late
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +172,17 @@ class TestServedColumns:
         check()
         service.swap_predictor(external_predictors[1])
         check()
+
+    def test_submit_burst_equals_query_batch(self, external_predictors,
+                                             queries):
+        service = TravelTimeService(external_predictors[0]).start()
+        try:
+            futures = [service.submit(q) for q in queries]
+            burst = [f.result(timeout=60) for f in futures]
+        finally:
+            service.stop()
+        assert burst == service.query_batch(queries)
+        assert {r.source for r in burst} == {"model"}
 
     def test_route_tier_equals_estimate_od(self, external_predictors,
                                            queries, monkeypatch):

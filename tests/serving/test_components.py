@@ -65,6 +65,33 @@ class TestODMatchCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_batches_equal_per_point_lookups(self, trained_predictor):
+        """Batches with repeated keys, larger than the capacity, partly
+        cached and wholly new return the index's columns and leave the
+        counts and LRU order of one ``nearest_edge`` per point."""
+        index = trained_predictor.index
+        pool = [xy for t in trained_predictor.dataset.trips[:15]
+                for xy in (t.od.origin_xy, t.od.destination_xy)]
+        rng = np.random.default_rng(0)
+        batches = [[pool[i] for i in picks] for picks in (
+            [0, 1, 0, 2, 1, 1],                    # repeats
+            rng.integers(20, size=24).tolist(),    # > capacity, evicting
+            [3, 4, 5, 3],                          # partly cached
+            list(range(20, 30)))]                  # every key new
+        batched = ODMatchCache(index, capacity=8)
+        single = ODMatchCache(index, capacity=8)
+        for batch in batches:
+            xs, ys = [p[0] for p in batch], [p[1] for p in batch]
+            got = batched.nearest_edges(xs, ys)
+            want = index.nearest_edges(xs, ys)
+            assert [c.dtype for c in got] == [c.dtype for c in want]
+            assert [c.tolist() for c in got] == [c.tolist() for c in want]
+            assert [single.nearest_edge(x, y) for x, y in batch] == \
+                list(zip(*(c.tolist() for c in want)))
+            assert batched.stats() == single.stats()
+            assert list(batched._lru._data) == list(single._lru._data)
+        assert batched.stats()["evictions"] > 0
+
 
 def _counting_encoder(calls):
     """A stand-in for ``InferencePlan.traffic_codes``: each slice's
