@@ -7,10 +7,10 @@ departure time is its "current traffic condition" feature, consumed by the
 External Features Encoder's CNN.
 
 Two store flavours live here: the batch :class:`SpeedMatrixStore` built
-once from historical trips, and :class:`LiveSpeedStore`, an overlay that
-lets ``repro.streaming`` replace individual period slices with freshly
-estimated live traffic while untouched periods keep answering from the
-batch store.
+once from historical trips, and :class:`LiveSpeedStore`, the subclass a
+serving service reads through, which lets ``repro.streaming`` replace
+individual period slices with freshly estimated live traffic while
+untouched periods keep answering from the batch matrices.
 """
 
 from __future__ import annotations
@@ -268,91 +268,48 @@ class SpeedMatrixAccumulator:
         return self.finalize_into(SpeedMatrixStore.__new__(SpeedMatrixStore))
 
 
-class LiveSpeedStore:
-    """A :class:`SpeedMatrixStore`-compatible overlay of live slices.
+class LiveSpeedStore(SpeedMatrixStore):
+    """A :class:`SpeedMatrixStore` whose periods can be overwritten live.
 
-    Periods updated from the stream answer from the live estimate; every
-    other period falls through to the base (training-time) store.  The
-    normalisation scale stays the *base* store's global mean — the model
-    was trained against that scale, so live congestion must show up as
-    genuinely lower normalised values, not be washed out by a rescale.
-
-    ``version`` increments on every slice update; the serving layer's
-    :class:`~repro.serving.cache.SpeedSliceCache` folds it into its keys
-    so a stale cached slice can never outlive the state it was cut from.
+    It shares the base store's grid, matrix stack and global mean by
+    reference (nothing is copied).  Periods written from the stream
+    answer from the live estimate; every other period answers from the
+    base stack.  The normalisation scale stays the *base* store's global
+    mean — the model was trained against that scale, so live congestion
+    must show up as genuinely lower normalised values, not be washed out
+    by a rescale.  ``matrices`` and ``save`` stay the base stack's.  A
+    serving service owns one overlay from construction on; a write
+    changes only the periods it names.
     """
 
     def __init__(self, base: SpeedMatrixStore):
-        self.base = base
+        vars(self).update(vars(base))
         self._live: Dict[int, np.ndarray] = {}
-        self.version = 0
-
-    # Grid geometry delegates to the base store.
-    @property
-    def config(self) -> SpeedGridConfig:
-        return self.base.config
-
-    @property
-    def rows(self) -> int:
-        return self.base.rows
-
-    @property
-    def cols(self) -> int:
-        return self.base.cols
-
-    @property
-    def periods(self) -> int:
-        return self.base.periods
-
-    @property
-    def min_x(self) -> float:
-        return self.base.min_x
-
-    @property
-    def min_y(self) -> float:
-        return self.base.min_y
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.base.shape
-
-    @property
-    def global_mean_speed(self) -> float:
-        return self.base.global_mean_speed
 
     @property
     def live_periods(self) -> List[int]:
         return sorted(self._live)
 
-    def update_slice(self, period: int, matrix: np.ndarray) -> int:
-        """Overlay one period's live matrix; returns the new version."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != self.base.shape:
-            raise ValueError(f"slice shape {matrix.shape} != grid "
-                             f"{self.base.shape}")
-        period = int(period)
-        if not 0 <= period < self.base.periods:
-            raise ValueError(f"period {period} outside "
-                             f"[0, {self.base.periods})")
-        self._live[period] = matrix
-        self.version += 1
-        return self.version
+    def update_slice(self, period: int, matrix: np.ndarray) -> None:
+        """Overlay one period's live matrix."""
+        self.update_slices({period: matrix})
 
-    def period_before(self, t: float) -> int:
-        return self.base.period_before(t)
-
-    def periods_before(self, times: Sequence[float]) -> np.ndarray:
-        return self.base.periods_before(times)
+    def update_slices(self, slices: Dict[int, np.ndarray]) -> None:
+        """Overlay every period of ``slices``, or none: each slice's
+        shape and period are checked before any is written."""
+        checked = {}
+        for period, matrix in slices.items():
+            matrix = np.asarray(matrix, dtype=float)
+            if matrix.shape != self.shape:
+                raise ValueError(f"slice shape {matrix.shape} != grid "
+                                 f"{self.shape}")
+            period = int(period)
+            if not 0 <= period < self.periods:
+                raise ValueError(f"period {period} outside "
+                                 f"[0, {self.periods})")
+            checked[period] = matrix
+        self._live.update(checked)
 
     def matrix_at(self, period: int) -> np.ndarray:
-        if not 0 <= period < self.base.periods:
-            raise ValueError(f"period {period} outside "
-                             f"[0, {self.base.periods})")
         live = self._live.get(int(period))
-        return live if live is not None else self.base.matrix_at(period)
-
-    # Period lookup and normalisation are the base store's, applied to
-    # this overlay's ``matrix_at`` (scale: the base global mean).
-    matrix_before = SpeedMatrixStore.matrix_before
-    normalized_matrix_at = SpeedMatrixStore.normalized_matrix_at
-    normalized_matrix_before = SpeedMatrixStore.normalized_matrix_before
+        return live if live is not None else super().matrix_at(period)

@@ -123,10 +123,10 @@ class MetricsRegistry:
                 self._counters[name] = Counter(name)
             return self._counters[name]
 
-    def histogram(self, name: str, window: int = 16384) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             if name not in self._histograms:
-                self._histograms[name] = Histogram(name, window=window)
+                self._histograms[name] = Histogram(name)
             return self._histograms[name]
 
     def register_gauge(self, name: str, fn) -> None:

@@ -5,9 +5,10 @@ coordinates onto road segments (a spatial-index walk per endpoint) and
 encoding the "current traffic condition" (Section 4.5: the speed matrix
 of the Δt period before departure, through the traffic CNN to D_traf).
 Popular pickup points recur, so map matches sit behind an LRU cache.
-D_traf depends only on the period, its live version and the model
-weights, never on the query, so it sits in a dense per-period table
-filled once per (period, version): :class:`SpeedSliceCache`.
+D_traf depends only on the period's matrix and the model weights,
+never on the query, so it sits in a dense per-period table filled once
+per period and cleared when a live write replaces that period's matrix:
+:class:`SpeedSliceCache`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ class SpeedSliceCache:
     ``encode`` call, reading each slice through
     :meth:`normalized_matrix_before`.
 
-    Once ``repro.streaming`` pushes live slices, a period's matrix can
-    change under the table: :meth:`invalidate` clears the touched
-    periods (or every period) and the next read re-encodes them from
-    the live store.  Fills and invalidations hold one lock, so an
-    invalidation cannot land inside a fill and leave a stale row.
+    The store is the serving service's one
+    :class:`~repro.datagen.LiveSpeedStore`, so once ``repro.streaming``
+    pushes live slices a period's matrix can change under the table:
+    :meth:`invalidate` clears the touched periods and the next read
+    re-encodes them from the store.  Fills and invalidations hold one
+    lock, so an invalidation cannot land inside a fill and leave a
+    stale row.
     """
 
     def __init__(self, store: SpeedMatrixStore,
@@ -51,10 +54,6 @@ class SpeedSliceCache:
         self._store = store
         self._table: Optional[np.ndarray] = None
         self._filled = np.zeros(store.periods, dtype=bool)
-
-    @property
-    def store(self) -> SpeedMatrixStore:
-        return self._store
 
     def normalized_matrix_before(self, t: float) -> np.ndarray:
         """The normalised speed matrix of the period before ``t``, read
@@ -86,30 +85,14 @@ class SpeedSliceCache:
         self._filled[missed] = True
         return len(missed)
 
-    def invalidate(self, periods: Optional[Sequence[int]] = None) -> int:
-        """Clear the named periods' rows, or every row (``None``).
-        Returns how many invalidation events were recorded (one per
-        named period; one for a full flush)."""
+    def invalidate(self, periods: Sequence[int]) -> int:
+        """Clear the named periods' rows; returns how many were named
+        (one invalidation event each)."""
         with self._lock:
-            if periods is None:
-                self._filled[:] = False
-                self.invalidations += 1
-                return 1
             touched = [int(p) for p in periods]
             self._filled[touched] = False
             self.invalidations += len(touched)
             return len(touched)
-
-    def swap_store(self, store: SpeedMatrixStore) -> None:
-        """Point the table at ``store``, keeping every row.
-
-        ``store`` must answer every period as the current store does,
-        as a fresh :class:`~repro.datagen.LiveSpeedStore` overlay of it
-        does (same base matrices, same normalisation scale).  A period
-        whose slice changes later is cleared by :meth:`invalidate`.
-        """
-        with self._lock:
-            self._store = store
 
     @property
     def hit_rate(self) -> float:

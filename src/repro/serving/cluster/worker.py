@@ -19,7 +19,9 @@ that fails — mid-copy artifact, checksum mismatch, a model trained on
 another dataset (its manifest fingerprint differs from the serving
 one) — keeps the old predictor serving and retries on the next tick: a
 bad push can never take a shard down, and no request is ever dropped
-across a swap.
+across a swap.  Live traffic state outlives a swap: the new service
+starts with the outgoing service's live speed slices, read from its
+speed store before the old dataset is closed.
 
 Each worker serves with a default ``ServiceConfig``: it answers batches
 the parent already formed, so no setting of the cluster reaches it.
@@ -65,7 +67,7 @@ def row_to_response(row: ResponseRow) -> ServingResponse:
     return ServingResponse(seconds=row[0], lower=row[1], upper=row[2],
                            origin_edge=row[3], destination_edge=row[4],
                            degraded=row[5], source=row[6],
-                           degraded_tier=row[7] if len(row) > 7 else 0)
+                           degraded_tier=row[7])
 
 
 class _WorkerState:
@@ -78,23 +80,10 @@ class _WorkerState:
         self.version = version
         self.swaps = 0
         self.swap_failures = 0
-        self._live_slices: dict = {}
-        self._build_service(predictor)
-
-    def _build_service(self, predictor) -> None:
         # The worker answers pre-batched requests synchronously, so its
         # service never starts the internal micro-batcher thread —
         # batching happens once, in the parent, across connections.
         self.service = TravelTimeService(predictor=predictor)
-        if self._live_slices:
-            # Live traffic state outlives a hot swap: the new model must
-            # not serve from stale training-time speeds.
-            self.service.apply_live_speeds(dict(self._live_slices))
-
-    def apply_speeds(self, slices: dict) -> int:
-        self._live_slices.update(
-            {int(p): m for p, m in slices.items()})
-        return self.service.apply_live_speeds(slices)
 
     def maybe_reload(self) -> bool:
         """Reload iff the watched artifact now resolves elsewhere.
@@ -116,7 +105,12 @@ class _WorkerState:
             predictor.dataset.close()
             self.swap_failures += 1
             return False
-        self._build_service(predictor)
+        # The new model must not serve from stale training-time speeds.
+        live = self.service.speed_store
+        service = TravelTimeService(predictor=predictor)
+        service.apply_live_speeds({p: live.matrix_at(p)
+                                   for p in live.live_periods})
+        self.service = service
         previous.close()        # no batch is in flight across a swap
         self.version = target
         self.swaps += 1
@@ -179,7 +173,8 @@ def worker_main(conn, shard_id: int, watch_path: str,
                 continue
             if kind == "speeds":
                 try:
-                    conn.send(("ok", state.apply_speeds(message[1])))
+                    conn.send(("ok", state.service.apply_live_speeds(
+                        message[1])))
                 except Exception as exc:  # containment: shard survives
                     conn.send(("err", repr(exc)))
                 continue

@@ -4,10 +4,10 @@ The first rung of the baseline ladder (ROADMAP item 5), shaped after
 taxisim's ``predict_trip_duration``: route the OD pair over the road
 network with per-edge costs ``length / cell_speed``, where the cell
 speed comes from the speed-matrix slice in force at the departure time.
-With a :class:`~repro.datagen.speed_matrix.LiveSpeedStore` behind it the
-estimate tracks *live* traffic, which makes it a far better degraded
-answer than the time-bucketed historical average (TEMP): the serving
-fallback chain is model (tier 0) → route baseline (tier 1) → TEMP
+Reading the serving service's
+:class:`~repro.datagen.speed_matrix.LiveSpeedStore`, the estimate tracks
+*live* traffic, which makes it a far better degraded answer than the
+time-bucketed historical average (TEMP): the serving fallback chain is model (tier 0) → route baseline (tier 1) → TEMP
 (tier 2).
 
 No learning happens here — the whole tier is one Dijkstra per query
@@ -17,11 +17,11 @@ model path is down.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..datagen.speed_matrix import edge_cell_indices
+from ..datagen.speed_matrix import SpeedMatrixStore, edge_cell_indices
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra
 from ..trajectory.model import ODBatch, ODInput
@@ -38,29 +38,22 @@ class RouteTimeBaseline:
     ----------
     net:
         The road network shared with the rest of the serving stack.
-    store_provider:
-        Zero-argument callable returning the speed store to read slices
-        from.  A callable (not a bound store) so the serving layer can
-        swap in a live store mid-flight without rebuilding the baseline.
+    store:
+        The speed store to read slices from; a live overlay's writes
+        show in the next estimate.
     """
 
-    def __init__(self, net: RoadNetwork, store_provider: Callable,
-                 min_cell_speed: float = MIN_CELL_SPEED):
-        if min_cell_speed <= 0:
-            raise ValueError("min_cell_speed must be positive")
+    def __init__(self, net: RoadNetwork, store: SpeedMatrixStore):
         self.net = net
-        self._store = store_provider
-        self.min_cell_speed = min_cell_speed
-        store = store_provider()
+        self._store = store
         self._rows, self._cols = edge_cell_indices(net, store)
         self._lengths = net.edge_arrays()[2]
 
     # ------------------------------------------------------------------
     def _edge_seconds(self, t: float) -> np.ndarray:
         """Per-edge traversal seconds under the slice in force at ``t``."""
-        matrix = self._store().matrix_before(t)
-        speeds = np.maximum(matrix[self._rows, self._cols],
-                            self.min_cell_speed)
+        matrix = self._store.matrix_before(t)
+        speeds = np.maximum(matrix[self._rows, self._cols], MIN_CELL_SPEED)
         return self._lengths / speeds
 
     def estimate_od(self, od: ODInput,
@@ -100,7 +93,7 @@ class RouteTimeBaseline:
         if (batch.origin_edge < 0).any() or (batch.destination_edge < 0).any():
             raise ValueError("route baseline needs matched edge ids")
         _, first, inverse = np.unique(
-            self._store().periods_before(batch.depart_time),
+            self._store.periods_before(batch.depart_time),
             return_index=True, return_inverse=True)
         costs = [self._edge_seconds(t) for t in batch.depart_time[first]]
         rows = zip(inverse.reshape(-1).tolist(), batch.origin_edge.tolist(),

@@ -2,6 +2,9 @@
 
 Wires the pieces of ``repro.serving`` into one query-facing object:
 
+* one :class:`~repro.datagen.LiveSpeedStore`, made at construction,
+  that every tier reads the current traffic condition from and that
+  ``apply_live_speeds`` writes live slices into;
 * cached map matching (``ODMatchCache``) and a per-period table of the
   traffic CNN's D_traf rows (``SpeedSliceCache``) in front of the model
   path;
@@ -175,15 +178,20 @@ class TravelTimeService(Instrumented):
         self.metrics = metrics or MetricsRegistry()
         self.fallback = HistoricalAverageFallback(self.dataset)
 
-        # Live traffic state: ``apply_live_speeds`` lazily wraps the
-        # training-time store in a LiveSpeedStore overlay; until then
-        # every consumer reads the static store directly.
-        self._live_store: Optional[LiveSpeedStore] = None
-        # Serialises the writers of that state (live speeds, swaps).
+        # The one speed store every tier reads: the training-time
+        # matrices, overlaid by the live slices ``apply_live_speeds``
+        # writes.
+        self.speed_store = LiveSpeedStore(self.dataset.speed_store)
+        # Tier 1 of the degradation ladder: when the model path raises,
+        # a shortest-path × current-speed estimate comes before the TEMP
+        # average.  It snaps through the model path's match cache, so
+        # its rung runs only when a model path exists.
+        self.route_baseline = RouteTimeBaseline(self.dataset.net,
+                                                self.speed_store)
+        # Serialises the writers of live state (live speeds, swaps).
         self._write_lock = threading.Lock()
 
         self._path: Optional[_ModelPath] = None
-        self.route_baseline: Optional[RouteTimeBaseline] = None
         if predictor is not None:
             self._path = self._model_path(predictor)
             self.metrics.register_gauge("od_match_cache",
@@ -193,11 +201,6 @@ class TravelTimeService(Instrumented):
                     "speed_slice_cache",
                     lambda: (self.slice_cache.stats()
                              if self.slice_cache else {}))
-            # Tier 1 of the degradation ladder: when the model path
-            # raises, a shortest-path × current-speed estimate comes
-            # before the TEMP average.
-            self.route_baseline = RouteTimeBaseline(
-                self.dataset.net, lambda: self.speed_store)
         # Standard-schema cache-effectiveness gauges (dashboards key on
         # these names; the full stats dicts above stay for debugging).
         # A cache that does not exist on this service reads 0.0 rather
@@ -249,36 +252,24 @@ class TravelTimeService(Instrumented):
         """True when no model path exists (fallback-only service)."""
         return self.predictor is None
 
-    @property
-    def speed_store(self):
-        """The speed store queries read from: the live overlay once
-        streaming updates have arrived, the training store before."""
-        return (self._live_store if self._live_store is not None
-                else self.dataset.speed_store)
-
     # -- live traffic state ----------------------------------------------
     def apply_live_speeds(self, slices: Dict[int, np.ndarray]) -> int:
         """Overlay freshly estimated speed-matrix slices.
 
         ``slices`` maps period index → raw mean-speed matrix (m/s, grid
-        shaped).  The first call moves the traffic-code table and the
-        route baseline onto a :class:`LiveSpeedStore` overlay, which
-        answers every unwritten period as before, so the table keeps
-        its rows; every call clears the touched periods' rows so no
-        stale code survives (counted in
+        shaped).  The push lands whole or not at all: a slice of the
+        wrong shape or period raises ``ValueError`` before any is
+        written, and then no store row, table row or counter changes.
+        An applied push clears the touched periods' rows of the
+        traffic-code table so no stale code survives (counted in
         ``serve.cache.speed.invalidations``).  Returns the number of
         slices applied.
         """
         if not slices:
             return 0
         with self._write_lock:
+            self.speed_store.update_slices(slices)
             table = self.slice_cache
-            if self._live_store is None:
-                self._live_store = LiveSpeedStore(self.dataset.speed_store)
-                if table is not None:
-                    table.swap_store(self._live_store)
-            for period, matrix in slices.items():
-                self._live_store.update_slice(int(period), matrix)
             if table is not None:
                 invalidated = table.invalidate([int(p) for p in slices])
                 self.metrics.counter(
@@ -293,16 +284,13 @@ class TravelTimeService(Instrumented):
         themselves; a bare :class:`TravelTimeService` is swapped by its
         owner — the streaming controller does this after a promotion.
         The map-match cache and the traffic-code table start afresh for
-        the new predictor (its codes are its own weights'); applied live
-        speed slices survive the swap.
+        the new predictor (its codes are its own weights'); the speed
+        store, with its live slices, stays.
         """
         if predictor is None:
             raise ValueError("swap_predictor needs a predictor")
         with self._write_lock:
             self._path = self._model_path(predictor)
-        if self.route_baseline is None:
-            self.route_baseline = RouteTimeBaseline(
-                self.dataset.net, lambda: self.speed_store)
         self.metrics.counter("serve.model_swaps").inc()
 
     # -- query paths -----------------------------------------------------
@@ -374,7 +362,6 @@ class TravelTimeService(Instrumented):
             except Exception:
                 self.metrics.counter("model_failures").inc()
                 self.tracer.annotate(model_failed=True)
-        if self.route_baseline is not None:
             try:
                 answers = self._route_answers(queries)
                 self.metrics.counter("route_answers").inc(len(queries))

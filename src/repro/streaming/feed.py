@@ -4,8 +4,8 @@ The estimator produces SpeedMatrixStore-shaped period slices; serving
 consumes them through one of two doors, duck-typed per target:
 
 * a :class:`~repro.serving.service.TravelTimeService` exposes
-  ``apply_live_speeds`` (in-process overlay + versioned cache
-  invalidation);
+  ``apply_live_speeds`` (its one live speed store, plus invalidation
+  of the touched periods' D_traf rows);
 * a :class:`~repro.serving.cluster.ServingCluster` exposes
   ``publish_speeds`` (fan-out to every worker over the control pipe).
 

@@ -1,7 +1,7 @@
 """Period lookup of the speed-matrix stores and the serving code table.
 
 ``period_before`` clamps with plain ``min``/``max`` and ``periods_before``
-is its vectorised form; the live overlay delegates to both and the
+is its vectorised form; the live overlay inherits both and the
 serving table reads through them.  Each must agree with the original
 ``np.clip`` formula everywhere, including just either side of a period
 boundary and far past the horizon.

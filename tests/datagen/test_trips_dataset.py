@@ -208,13 +208,6 @@ class TestLiveSpeedStore:
                                       base.matrix_at(other))
         assert live.live_periods == [period]
 
-    def test_version_bumps_per_update(self, small_dataset):
-        live = LiveSpeedStore(small_dataset.speed_store)
-        assert live.version == 0
-        live.update_slice(0, np.ones(live.shape))
-        live.update_slice(1, np.ones(live.shape))
-        assert live.version == 2
-
     def test_normalisation_keeps_base_scale(self, small_dataset):
         """Live congestion must show as genuinely lower normalised
         values: the scale is the BASE global mean, not the live mean."""

@@ -19,6 +19,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.atomic import swap_symlink
@@ -32,9 +33,11 @@ from repro.serving import (
 )
 from repro.serving import artifact as artifact_mod
 from repro.serving.cluster import synthetic_queries
-from repro.serving.cluster.worker import row_to_response, worker_main
+from repro.serving.cluster.worker import (
+    _WorkerState, row_to_response, worker_main,
+)
 
-from ..conftest import TINY_CFG, TINY_DAYS, TINY_TRIPS
+from ..conftest import TINY_CFG, TINY_DAYS, TINY_TRIPS, external_predictor
 
 
 def _save_generation(directory, predictor, run_id, band_scale=1.0):
@@ -247,3 +250,47 @@ def test_spawned_worker_serves_from_the_bundle(artifact_dir, serving_dataset,
     expected = TravelTimeService(load_artifact(
         artifact_dir, dataset=serving_dataset)).query_batch(queries)
     assert [row_to_response(r) for r in rows] == expected
+
+
+def test_swap_after_a_rejected_push_keeps_the_live_slices(tmp_path,
+                                                          serving_dataset):
+    """A rejected speeds push leaves nothing behind, and the next hot
+    swap hands the slices pushed before it to the new service.  Runs
+    in process on one worker's state, with two artifacts of one model
+    that reads the speed matrices."""
+    predictor = external_predictor(serving_dataset, seed=0)
+    gen1 = _save_generation(tmp_path / "gen1", predictor, "gen-1")
+    gen2 = _save_generation(tmp_path / "gen2", predictor, "gen-2")
+    current = str(tmp_path / "current")
+    os.symlink(gen1, current)
+    state = _WorkerState(0, current, os.path.realpath(current),
+                         load_artifact(gen1))
+    queries = synthetic_queries(serving_dataset, 8, seed=37)
+    store = state.service.speed_store
+    valid = {int(p): store.matrix_at(p) * 0.5 for p in
+             store.periods_before([q.depart_time for q in queries])}
+    assert state.service.apply_live_speeds(valid) == len(valid)
+    with pytest.raises(ValueError, match="shape"):
+        state.service.apply_live_speeds({0: np.ones((1, 1))})
+
+    swap_symlink(current, gen2)
+    try:
+        assert state.maybe_reload()
+        assert (state.swaps, state.swap_failures) == (1, 0)
+        assert state.version == os.path.realpath(gen2)
+        fresh = TravelTimeService(load_artifact(gen2,
+                                                dataset=serving_dataset))
+        stale = fresh.query_batch(queries)
+        fresh.apply_live_speeds(valid)
+        served = state.service.query_batch(queries)
+        assert all(r.source == "model" for r in served)
+        assert served == fresh.query_batch(queries)
+        assert served != stale
+
+        live = state.service.speed_store
+        assert live is not store
+        assert live.live_periods == sorted(valid)
+        for period, matrix in valid.items():
+            assert np.array_equal(live.matrix_at(period), matrix)
+    finally:
+        state.service.dataset.close()

@@ -20,6 +20,15 @@ TINY_CFG = DeepODConfig(
     use_external_features=False, seed=0)
 
 
+def external_predictor(dataset, seed):
+    """A few-step model that reads the speed matrices (D_traf)."""
+    config = TINY_CFG.with_overrides(use_external_features=True, seed=seed)
+    trainer = DeepODTrainer(build_deepod(dataset, config), dataset,
+                            eval_every=0)
+    trainer.fit(max_steps=3, track_validation=False)
+    return TravelTimePredictor(trainer, quantiles=(0.8, 1.2))
+
+
 @pytest.fixture(scope="session")
 def serving_dataset():
     """A preset-built dataset, so artifacts can regenerate it by params."""

@@ -259,7 +259,7 @@ class TestLoadPathCleanups:
 
     def test_route_baseline_edge_lengths(self, serving_dataset):
         net = serving_dataset.net
-        baseline = RouteTimeBaseline(net, lambda: serving_dataset.speed_store)
+        baseline = RouteTimeBaseline(net, serving_dataset.speed_store)
         loop = np.array([net.edge(e).length for e in range(net.num_edges)])
         assert np.array_equal(baseline._lengths, loop)
 

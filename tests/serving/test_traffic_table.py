@@ -13,29 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DeepODTrainer, TravelTimePredictor, build_deepod
 from repro.core.inference import InferencePlan
 from repro.core.predictor import normalize_depart_time
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import TravelTimeService
 from repro.trajectory.model import Query
 
-from .conftest import TINY_CFG
+from .conftest import external_predictor
 
 QUERIES = 24
 
 
-def _external_predictor(dataset, seed):
-    config = TINY_CFG.with_overrides(use_external_features=True, seed=seed)
-    trainer = DeepODTrainer(build_deepod(dataset, config), dataset,
-                            eval_every=0)
-    trainer.fit(max_steps=3, track_validation=False)
-    return TravelTimePredictor(trainer, quantiles=(0.8, 1.2))
-
-
 @pytest.fixture(scope="module")
 def predictors(serving_dataset):
-    return [_external_predictor(serving_dataset, seed) for seed in (0, 1)]
+    return [external_predictor(serving_dataset, seed) for seed in (0, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +56,6 @@ def _periods(service, queries):
     horizon = service.dataset.horizon_seconds
     return service.speed_store.periods_before(
         [normalize_depart_time(q.depart_time, horizon) for q in queries])
-
-
-def _start_live_overlay(service, periods):
-    """Apply a first live write, on a period the batch never reads.  The
-    first write moves the table onto the live store under the table's
-    lock, so only a later write can land while a fill holds it."""
-    spare = next(p for p in range(service.speed_store.periods)
-                 if p not in set(periods.tolist()))
-    service.apply_live_speeds({spare: service.speed_store.matrix_at(spare)})
 
 
 def _uncached(service, predictor, queries):
@@ -116,8 +98,7 @@ def test_live_write_reencodes_only_the_touched_periods(predictors, queries,
     periods = sorted(set(_periods(service, queries).tolist()))
     slices = {p: service.speed_store.matrix_at(p) * 0.4 for p in periods[:2]}
     before = sum(encoded)
-    # The first write moves the table onto the live overlay, which
-    # answers every other period as the base store does: rows survive.
+    # A write clears only its periods' rows: every other row survives.
     service.apply_live_speeds(slices)
     got = _served(service, queries)
     assert sum(encoded) - before == len(slices)
@@ -127,6 +108,34 @@ def test_live_write_reencodes_only_the_touched_periods(predictors, queries,
     fresh = TravelTimeService(predictors[0], metrics=MetricsRegistry())
     fresh.apply_live_speeds(slices)
     np.testing.assert_array_equal(got, _served(fresh, queries))
+
+
+def test_a_rejected_push_changes_nothing(predictors, queries, encoded):
+    """A push with one good slice and one of the wrong shape raises and
+    leaves the store, the table and the counters as they were."""
+    service = TravelTimeService(predictors[0], metrics=MetricsRegistry())
+    before = _served(service, queries)
+    store = service.speed_store
+    period = int(_periods(service, queries)[0])
+    good = store.matrix_at(period) * 0.4
+    other = (period + 1) % store.periods
+    encodes = sum(encoded)
+    with pytest.raises(ValueError, match="shape"):
+        service.apply_live_speeds({period: good, other: np.ones((1, 1))})
+    assert service.speed_store.live_periods == []
+    assert service.metrics.counter("serve.speed_updates").value == 0
+    assert service.metrics.counter(
+        "serve.cache.speed.invalidations").value == 0
+    np.testing.assert_array_equal(_served(service, queries), before)
+    assert sum(encoded) == encodes                  # no row was cleared
+
+    service.apply_live_speeds({period: good})
+    after = _served(service, queries)
+    assert sum(encoded) - encodes == 1
+    np.testing.assert_allclose(after,
+                               _uncached(service, predictors[0], queries),
+                               rtol=1e-12, atol=0.0)
+    assert not np.array_equal(after, before)
 
 
 def test_swap_answers_with_the_new_models_codes(predictors, queries):
@@ -166,9 +175,7 @@ def test_write_inside_a_fill_leaves_no_stale_code(predictors, queries,
     monkeypatch.setattr(InferencePlan, "traffic_codes",
                         encode_during_a_write)
     service = TravelTimeService(predictors[0], metrics=MetricsRegistry())
-    periods = _periods(service, queries)
-    target = int(periods[0])
-    _start_live_overlay(service, periods)
+    target = int(_periods(service, queries)[0])
     slowed = service.speed_store.matrix_at(target) * 0.3
     _served(service, queries)
     writers[0].join(timeout=10.0)

@@ -1,5 +1,5 @@
-"""Live speed slices reaching serving: cache versioning, the route
-tier, and the feed's duck-typed fan-out."""
+"""Live speed slices reaching serving: the slice table's invalidation,
+the route tier, and the feed's duck-typed fan-out."""
 
 import numpy as np
 import pytest
@@ -50,22 +50,6 @@ class TestVersionedSliceCache:
         cache.invalidate([period])
         assert np.array_equal(cache.traffic_before([other_t]), other)
         assert calls == [1, 1, 1]
-
-    def test_full_flush_and_swap(self, stream_dataset):
-        store = stream_dataset.speed_store
-        calls = []
-        cache = SpeedSliceCache(store, _counting_flatten(calls))
-        t = 3 * store.config.period_seconds + 1.0
-        first = cache.traffic_before([t])
-        assert cache.invalidate() == 1          # every row cleared
-        np.testing.assert_array_equal(cache.traffic_before([t]), first)
-        assert calls == [1, 1]
-        # A fresh overlay answers as its base: the rows survive the swap.
-        cache.swap_store(LiveSpeedStore(store))
-        assert cache.invalidations == 1
-        np.testing.assert_array_equal(cache.traffic_before([t]), first)
-        assert calls == [1, 1]
-        assert cache.store is not store
 
 
 class TestServiceLiveSpeeds:
